@@ -62,6 +62,11 @@
 //	              parity-free raw and width-1 points (default 0)
 //	-out FILE     report path (default BENCH_serving.json; use
 //	              BENCH_serving_audit.json for the audit-armed run)
+//	-cpuprofile FILE, -memprofile FILE
+//	              write a pprof CPU profile of the whole sweep, or a
+//	              heap profile (with every allocation since start) at
+//	              its end; `go tool pprof -top` then splits host cost
+//	              per function and package
 //
 // The trace subcommand runs one traced serving run and exports the
 // span stream as a Chrome trace_event JSON file loadable in Perfetto
@@ -86,6 +91,7 @@
 //	serocli bench-serve -files 2048 -ops 4096 -sessions 1,2,4 -out /tmp/b.json
 //	serocli bench-serve -devices 1,4 -parity 1 -out BENCH_serving.json
 //	serocli bench-serve -audit-every 64 -heat-files 64 -out BENCH_serving_audit.json
+//	serocli bench-serve -sessions 1 -cpuprofile cpu.out -out /tmp/b.json
 //	serocli trace -out trace.json           # then open in ui.perfetto.dev
 package main
 
@@ -94,6 +100,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -260,6 +268,8 @@ func benchServe(args []string) error {
 	devicesList := fl.String("devices", "0", "comma-separated member-device widths to sweep (0 = the raw single sled, N >= 1 = an N-member striped array)")
 	parity := fl.Int("parity", 0, "Reed–Solomon parity members for striped widths; applied per width when it fits (parity < devices), 0 otherwise")
 	out := fl.String("out", "BENCH_serving.json", "report output path")
+	cpuprofile := fl.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memprofile := fl.String("memprofile", "", "write a heap profile at the end of the sweep to this file")
 	if err := fl.Parse(args); err != nil {
 		return err
 	}
@@ -293,6 +303,17 @@ func benchServe(args []string) error {
 		return fmt.Errorf("-parity must be 0 (none) or positive (got %d)", *parity)
 	}
 
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 	var runs []serve.Result
 	for _, n := range counts {
 		for _, d := range widths {
@@ -307,6 +328,12 @@ func benchServe(args []string) error {
 				return err
 			}
 			runs = append(runs, res)
+		}
+	}
+
+	if *memprofile != "" {
+		if err := writeHeapProfile(*memprofile); err != nil {
+			return err
 		}
 	}
 
@@ -327,6 +354,22 @@ func benchServe(args []string) error {
 	}
 	fmt.Printf("bench-serve: wrote %s (%d runs, schema %s)\n", *out, len(runs), rep.Schema)
 	return nil
+}
+
+// writeHeapProfile writes a heap profile to path after a collection,
+// so its in-use figures are current; its allocation figures cover the
+// whole process.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // benchKnobs bundles the workload- and FS-shape flags one bench-serve

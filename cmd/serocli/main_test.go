@@ -61,6 +61,27 @@ func TestBenchServeSmall(t *testing.T) {
 	}
 }
 
+func TestBenchServeWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	err := benchServe([]string{
+		"-files", "64", "-ops", "256", "-sessions", "1",
+		"-cpuprofile", dir + "/cpu.out", "-memprofile", dir + "/mem.out",
+		"-out", dir + "/bench.json",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cpu.out", "mem.out"} {
+		st, err := os.Stat(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("%s is empty", name)
+		}
+	}
+}
+
 func TestBenchServeRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad-sessions":  {"-sessions", "1,zero", "-files", "8", "-ops", "8"},

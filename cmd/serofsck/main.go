@@ -454,6 +454,11 @@ func onlineVerify(blocks, workers, devices, parity int, degraded bool) error {
 		}
 		switch {
 		case canHeal:
+			// The background auditor may have made the finding and still
+			// be repairing it: retire it (Close waits for its step, repair
+			// included) before reading the repair counters.
+			fs.Close()
+			st = fs.Stats()
 			if st.AuditRepairs != 1 || st.AuditRepairFailures != 0 {
 				return fmt.Errorf("FINDING NOT HEALED: %d repairs, %d repair failures for one tampered line",
 					st.AuditRepairs, st.AuditRepairFailures)

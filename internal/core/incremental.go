@@ -107,6 +107,11 @@ func (lr *lineRanges) find(pba uint64) (uint64, bool) {
 type IncrementalAuditor struct {
 	dev device.Dev
 
+	// stepMu serialises Step calls: a step's checks and repairs finish
+	// before the next step takes a line, so a tampered line is healed
+	// before any other step can check it again.
+	stepMu sync.Mutex
+
 	// ranges is the round snapshot the lock-free Observe path reads.
 	ranges atomic.Pointer[lineRanges]
 
@@ -178,14 +183,19 @@ func (a *IncrementalAuditor) Observe(pba uint64) {
 
 // Step verifies up to batch lines (batch <= 0 means 1) from the
 // current round, starting a new round if the previous one has drained.
-// Hinted lines are checked first. The heavy work — the hash checks —
-// runs outside the auditor's mutex; only worklist bookkeeping holds
+// Hinted lines are checked first. Concurrent calls run one at a time,
+// so one tamper yields one finding (and, when armed, one repair) even
+// when a background and a foreground caller race across a round
+// boundary. The heavy work — the hash checks and repairs — runs
+// outside the auditor's bookkeeping mutex, so Observe never waits on
 // it. Returns the step's report; Checked == 0 means the device has no
 // heated lines at all.
 func (a *IncrementalAuditor) Step(batch int) StepReport {
 	if batch <= 0 {
 		batch = 1
 	}
+	a.stepMu.Lock()
+	defer a.stepMu.Unlock()
 	var rep StepReport
 	for rep.Checked < batch {
 		start, ok, roundEnded := a.next()

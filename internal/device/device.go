@@ -140,14 +140,6 @@ type Device struct {
 	// lines is the registry of heated lines, keyed by start PBA.
 	lines map[uint64]LineInfo
 
-	// xtalkSpan is how many blocks an electrical write's thermal
-	// crosstalk can reach past the written block: EWB pulses the four
-	// dot neighbours at i±1 and i±Cols, so with the medium's row
-	// width of Cols dots the farthest disturbed dot is
-	// ceil(Cols/DotsPerBlock) blocks away (1 for the standard
-	// one-row-per-block layout).
-	xtalkSpan uint64
-
 	// arrMu guards the shared probe array: the actuator position is
 	// one piece of mechanical state, so latency charges against it are
 	// serialised even when the data-path work runs in parallel.
@@ -373,7 +365,14 @@ func New(p Params) *Device {
 	if mp.Rows == 0 {
 		mp = medium.DefaultParams(p.Blocks, DotsPerBlock)
 	}
-	if mp.Rows*mp.Cols < p.Blocks*DotsPerBlock {
+	// One block is one medium row: the medium lets operations on
+	// disjoint rows run concurrently, and the region locks serialise
+	// operations per block, so a block must never share a row.
+	if mp.Cols != DotsPerBlock {
+		panic(fmt.Sprintf("device: medium rows of %d dots, blocks need %d",
+			mp.Cols, DotsPerBlock))
+	}
+	if mp.Rows < p.Blocks {
 		panic(fmt.Sprintf("device: medium %dx%d too small for %d blocks",
 			mp.Rows, mp.Cols, p.Blocks))
 	}
@@ -395,10 +394,6 @@ func New(p Params) *Device {
 		heated: make(map[uint64]bool),
 		bad:    make(map[uint64]bool),
 		lines:  make(map[uint64]LineInfo),
-	}
-	d.xtalkSpan = uint64((mp.Cols + DotsPerBlock - 1) / DotsPerBlock)
-	if d.xtalkSpan < 1 {
-		d.xtalkSpan = 1
 	}
 	// The probe array's addressable capacity may be smaller than the
 	// medium in scaled-down test configurations; the array is used for
@@ -556,18 +551,15 @@ func (d *Device) unlockRange(idx []int) {
 
 // lockCrosstalkRange locks the stripes for a range that will be
 // written *electrically*: heating a dot thermally disturbs its
-// immediate dot neighbours, which live up to xtalkSpan blocks away
-// (exactly the adjacent blocks for the standard one-row-per-block
-// layout), so the locked range is widened by that many blocks on each
-// side (clamped to the device).
+// immediate dot neighbours at i±1 and i±Cols, which with one block per
+// medium row live in the adjacent blocks, so the locked range is
+// widened by one block on each side (clamped to the device).
 func (d *Device) lockCrosstalkRange(start, end uint64) []int {
-	if start > d.xtalkSpan {
-		start -= d.xtalkSpan
-	} else {
-		start = 0
+	if start > 0 {
+		start--
 	}
-	if end+d.xtalkSpan < uint64(d.p.Blocks) {
-		end += d.xtalkSpan
+	if end < uint64(d.p.Blocks) {
+		end++
 	} else {
 		end = uint64(d.p.Blocks)
 	}
@@ -669,11 +661,7 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
 		pba := start + uint64(i)
 		f := Frame{PBA: pba, Flags: FlagData}
 		copy(f.Data[:], data)
-		bits := bytesToBits(f.Marshal())
-		blockBase := d.dotBase(pba)
-		for j, b := range bits {
-			d.med.MWB(blockBase+j, b)
-		}
+		d.med.WriteBytes(d.dotBase(pba), f.Marshal())
 	}
 	pl.record(d, func(st *OpStats) {
 		st.MagneticWrites += uint64(len(blocks))
@@ -778,12 +766,9 @@ func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) (int, error) {
 		tr.Emit(trace.Span{Name: "read", Cat: "device", Track: pl.track + d.p.TrackOffset, Session: -1,
 			Start: pl.base + int64(t0), Dur: int64(elapsed), V1: 1, V2: int64(pba)})
 	}
-	bits := make([]bool, DotsPerBlock)
-	for i := range bits {
-		bits[i] = d.med.MRB(base + i)
-	}
-	img := bitsToBytes(bits)
-	f, corrected, err := UnmarshalFrame(img, pba)
+	var img [PhysicalBytes]byte
+	d.med.ReadBytes(base, img[:])
+	f, corrected, err := UnmarshalFrame(img[:], pba)
 	pl.record(d, func(st *OpStats) {
 		st.MagneticReads++
 		st.MagneticReadNS += elapsed

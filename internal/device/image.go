@@ -31,10 +31,11 @@ func LoadImage(img []byte, p Params) (*Device, []LineInfo, error) {
 		return nil, nil, err
 	}
 	mp := med.Params()
-	blocks := mp.Rows * mp.Cols / DotsPerBlock
-	if blocks <= 0 {
-		return nil, nil, fmt.Errorf("device: image medium %dx%d smaller than one block", mp.Rows, mp.Cols)
+	if mp.Cols != DotsPerBlock {
+		return nil, nil, fmt.Errorf("%w: medium rows of %d dots, blocks need %d",
+			medium.ErrBadSnapshot, mp.Cols, DotsPerBlock)
 	}
+	blocks := mp.Rows
 	if p.Blocks > 0 && p.Blocks != blocks {
 		return nil, nil, fmt.Errorf("device: image holds %d blocks, params say %d", blocks, p.Blocks)
 	}

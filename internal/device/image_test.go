@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sero/internal/medium"
@@ -66,6 +67,26 @@ func TestLoadImageBlockMismatch(t *testing.T) {
 	if _, _, err := LoadImage(img, DefaultParams(16)); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
+}
+
+// A device maps one block to one medium row, and the medium only
+// serialises operations per row; an image whose rows are not exactly
+// one block wide would let blocks share rows, so it must be refused.
+func TestLoadImageRejectsRowsNotOneBlock(t *testing.T) {
+	for _, cols := range []int{DotsPerBlock * 2, DotsPerBlock / 2, DotsPerBlock + 8} {
+		img := medium.New(medium.DefaultParams(4, cols)).Snapshot()
+		if _, _, err := LoadImage(img, DefaultParams(0)); !errors.Is(err, medium.ErrBadSnapshot) {
+			t.Fatalf("cols %d: err = %v, want ErrBadSnapshot", cols, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a medium with two blocks per row")
+		}
+	}()
+	p := DefaultParams(8)
+	p.Medium = medium.DefaultParams(4, DotsPerBlock*2)
+	New(p)
 }
 
 func TestImageTamperedBetweenSessions(t *testing.T) {

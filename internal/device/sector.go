@@ -78,8 +78,9 @@ func (f *Frame) Marshal() []byte {
 	binary.BigEndian.PutUint64(buf[0:8], f.PBA)
 	buf[8] = f.Flags
 	// buf[9:12] reserved
-	binary.BigEndian.PutUint32(buf[12:16], crc32.Checksum(f.Data[:], crcTable))
 	copy(buf[HeaderBytes:], f.Data[:])
+	// Checksumming the copy rather than f keeps f off the heap.
+	binary.BigEndian.PutUint32(buf[12:16], crc32.Checksum(buf[HeaderBytes:], crcTable))
 	return codec.Encode(buf)
 }
 
@@ -105,8 +106,10 @@ func UnmarshalFrame(img []byte, expectedPBA uint64) (Frame, int, error) {
 	if len(img) != PhysicalBytes {
 		return Frame{}, 0, fmt.Errorf("device: frame image %d bytes, want %d", len(img), PhysicalBytes)
 	}
-	buf := append([]byte(nil), img...)
-	fixed, corrected, err := codec.Decode(buf, HeaderBytes+DataBytes)
+	// Decode corrects in place; work on a copy so img stays as read.
+	var buf [PhysicalBytes]byte
+	copy(buf[:], img)
+	fixed, corrected, err := codec.Decode(buf[:], HeaderBytes+DataBytes)
 	if err != nil {
 		return Frame{}, 0, ErrUncorrectable
 	}
@@ -134,31 +137,10 @@ func ForgedFrameBits(pba uint64, data []byte) []bool {
 	var f Frame
 	f.PBA = pba
 	copy(f.Data[:], data)
-	return bytesToBits(f.Marshal())
-}
-
-// bytesToBits expands b into per-bit booleans, MSB-first.
-func bytesToBits(b []byte) []bool {
-	out := make([]bool, len(b)*8)
-	for i, by := range b {
-		for bit := 0; bit < 8; bit++ {
-			out[i*8+bit] = by&(1<<(7-bit)) != 0
-		}
+	img := f.Marshal()
+	bits := make([]bool, len(img)*8)
+	for i := range bits {
+		bits[i] = img[i/8]&(0x80>>(i%8)) != 0
 	}
-	return out
-}
-
-// bitsToBytes packs per-bit booleans (MSB-first) into bytes; len(bits)
-// must be a multiple of 8.
-func bitsToBytes(bits []bool) []byte {
-	if len(bits)%8 != 0 {
-		panic("device: bit count not a multiple of 8")
-	}
-	out := make([]byte, len(bits)/8)
-	for i, bit := range bits {
-		if bit {
-			out[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return out
+	return bits
 }

@@ -70,16 +70,6 @@ func Log(a byte) int {
 	return int(logTable[a])
 }
 
-// polyEval evaluates polynomial p (coefficients highest-degree first)
-// at x using Horner's rule.
-func polyEval(p []byte, x byte) byte {
-	var y byte
-	for _, c := range p {
-		y = Mul(y, x) ^ c
-	}
-	return y
-}
-
 // polyMul multiplies two polynomials over GF(2^8), highest-degree
 // first.
 func polyMul(a, b []byte) []byte {

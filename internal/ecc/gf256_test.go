@@ -97,6 +97,17 @@ func TestExpGeneratesWholeField(t *testing.T) {
 	}
 }
 
+// polyEval evaluates polynomial p (coefficients highest-degree first)
+// at x using Horner's rule — the Mul-based reference for the codec's
+// table-driven syndromes.
+func polyEval(p []byte, x byte) byte {
+	var y byte
+	for _, c := range p {
+		y = Mul(y, x) ^ c
+	}
+	return y
+}
+
 func TestPolyEvalKnown(t *testing.T) {
 	// p(x) = x^2 + 1 at x=2: 4 XOR 1 = 5 in GF(2^8).
 	p := []byte{1, 0, 1}

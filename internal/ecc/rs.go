@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -12,6 +13,14 @@ import (
 type Codec struct {
 	parity int
 	gen    []byte // generator polynomial, highest-degree first
+	// words is the number of 64-bit words the parity register spans.
+	words int
+	// genMul[f*words:(f+1)*words] holds gen[1..parity]·f packed
+	// big-endian into words (zero-padded at the end): the encoder's
+	// feedback row for factor f.
+	genMul []uint64
+	// synMul[i<<8|y] = y·α^i: one Horner step of syndrome i.
+	synMul []byte
 }
 
 // ErrTooManyErrors is returned when a codeword is corrupted beyond the
@@ -27,7 +36,16 @@ func NewCodec(parity int) *Codec {
 	for i := 0; i < parity; i++ {
 		gen = polyMul(gen, []byte{1, Exp(i)})
 	}
-	return &Codec{parity: parity, gen: gen}
+	words := (parity + 7) / 8
+	c := &Codec{parity: parity, gen: gen, words: words,
+		genMul: make([]uint64, 256*words), synMul: make([]byte, parity<<8)}
+	for f := 0; f < 256; f++ {
+		for i := 0; i < parity; i++ {
+			c.genMul[f*words+i/8] |= uint64(Mul(gen[i+1], byte(f))) << (56 - 8*(i%8))
+			c.synMul[i<<8|f] = Mul(byte(f), Exp(i))
+		}
+	}
+	return c
 }
 
 // Parity returns the number of parity bytes per codeword.
@@ -42,36 +60,79 @@ func (c *Codec) Encode(data []byte) []byte {
 	if len(data) == 0 || len(data) > c.MaxData() {
 		panic(fmt.Sprintf("ecc: data length %d outside [1,%d]", len(data), c.MaxData()))
 	}
-	// Systematic encoding: parity = (data · x^parity) mod gen.
-	rem := make([]byte, c.parity)
-	for _, d := range data {
-		factor := d ^ rem[0]
-		copy(rem, rem[1:])
-		rem[c.parity-1] = 0
-		if factor != 0 {
-			for i := 0; i < c.parity; i++ {
-				rem[i] ^= Mul(c.gen[i+1], factor)
-			}
-		}
-	}
-	out := make([]byte, 0, len(data)+c.parity)
-	out = append(out, data...)
-	out = append(out, rem...)
+	out := make([]byte, len(data)+c.parity)
+	copy(out, data)
+	reg := c.parityOf(data, 0, 1)
+	c.putParity(out[len(data):], &reg)
 	return out
 }
 
-// syndromes computes the parity syndromes of a codeword; all-zero means
-// no detectable error.
+// maxWords bounds the parity register: 254 parity bytes.
+const maxWords = 32
+
+// parityOf returns, packed big-endian into words as genMul rows are,
+// the systematic parity (lane · x^parity) mod gen of the lane
+// data[off], data[off+stride], ... — an LFSR over the generator that
+// shifts the whole register a byte and XORs in one table row per data
+// byte.
+func (c *Codec) parityOf(data []byte, off, stride int) (reg [maxWords]uint64) {
+	w := c.words
+	// The sector geometry (16 parity bytes) keeps its register in two
+	// locals instead of an array: encode and the clean-decode check run
+	// this loop over every sector, and the general loop below is about
+	// twice as slow for it (BenchmarkInterleavedEncode 2.6 vs 5.3 µs).
+	if w == 2 {
+		var hi, lo uint64
+		for k := off; k < len(data); k += stride {
+			f := int(data[k] ^ byte(hi>>56))
+			hi, lo = hi<<8|lo>>56^c.genMul[2*f], lo<<8^c.genMul[2*f+1]
+		}
+		reg[0], reg[1] = hi, lo
+		return reg
+	}
+	for k := off; k < len(data); k += stride {
+		row := c.genMul[int(data[k]^byte(reg[0]>>56))*w:][:w]
+		for j := 0; j < w-1; j++ {
+			reg[j] = reg[j]<<8 | reg[j+1]>>56 ^ row[j]
+		}
+		reg[w-1] = reg[w-1]<<8 ^ row[w-1]
+	}
+	return reg
+}
+
+// putParity stores the parity bytes of register reg into par.
+func (c *Codec) putParity(par []byte, reg *[maxWords]uint64) {
+	for i := range par[:c.parity] {
+		par[i] = byte(reg[i/8] >> (56 - 8*(i%8)))
+	}
+}
+
+// parityMatches reports whether par holds the parity of the lane
+// data[off], data[off+stride], ... Because the code is systematic,
+// that holds exactly when every syndrome of lane‖par is zero.
+func (c *Codec) parityMatches(par, data []byte, off, stride int) bool {
+	reg := c.parityOf(data, off, stride)
+	var want [255]byte
+	c.putParity(want[:], &reg)
+	return bytes.Equal(par[:c.parity], want[:c.parity])
+}
+
+// syndromes computes the parity syndromes of a codeword — cw evaluated
+// at α^0..α^(parity-1) by Horner's rule; all-zero means no detectable
+// error.
 func (c *Codec) syndromes(cw []byte) ([]byte, bool) {
 	syn := make([]byte, c.parity)
-	clean := true
-	for i := 0; i < c.parity; i++ {
-		syn[i] = polyEval(cw, Exp(i))
-		if syn[i] != 0 {
-			clean = false
+	for _, b := range cw {
+		for i := range syn {
+			syn[i] = c.synMul[i<<8|int(syn[i])] ^ b
 		}
 	}
-	return syn, clean
+	for _, v := range syn {
+		if v != 0 {
+			return syn, false
+		}
+	}
+	return syn, true
 }
 
 // Decode corrects cw in place (data‖parity as produced by Encode) and
@@ -333,53 +394,58 @@ func (il *Interleaved) Encode(data []byte) []byte {
 	if len(data) == 0 || len(data) > il.MaxData() {
 		panic(fmt.Sprintf("ecc: interleaved data length %d outside [1,%d]", len(data), il.MaxData()))
 	}
-	parity := make([]byte, 0, il.ParityBytes())
+	p := il.codec.parity
+	out := make([]byte, len(data)+il.ParityBytes())
+	copy(out, data)
 	for w := 0; w < il.ways; w++ {
-		var lane []byte
-		for i := w; i < len(data); i += il.ways {
-			lane = append(lane, data[i])
-		}
-		if len(lane) == 0 {
-			lane = []byte{0}
-		}
-		cw := il.codec.Encode(lane)
-		parity = append(parity, cw[len(lane):]...)
+		// A lane with no data bytes encodes as the single byte 0, whose
+		// parity is zero.
+		reg := il.codec.parityOf(data, w, il.ways)
+		il.codec.putParity(out[len(data)+w*p:], &reg)
 	}
-	out := make([]byte, 0, len(data)+len(parity))
-	out = append(out, data...)
-	out = append(out, parity...)
 	return out
 }
 
 // Decode corrects buf (as produced by Encode, with dataLen data bytes)
-// and returns the corrected data and total byte corrections.
+// in place and returns the corrected data and total byte corrections.
+// The returned data is buf[:dataLen]: it aliases buf. A lane whose
+// stored parity matches its data has all-zero syndromes and needs no
+// correction; when every lane is clean — the common case — Decode
+// allocates nothing and changes nothing. On error, lanes before the
+// failing one may already have been corrected in buf.
 func (il *Interleaved) Decode(buf []byte, dataLen int) (data []byte, corrected int, err error) {
 	if dataLen <= 0 || len(buf) != dataLen+il.ParityBytes() {
 		return nil, 0, fmt.Errorf("ecc: buffer %d does not match data %d + parity %d",
 			len(buf), dataLen, il.ParityBytes())
 	}
-	data = append([]byte(nil), buf[:dataLen]...)
-	parityOff := dataLen
+	p := il.codec.parity
+	data = buf[:dataLen]
 	for w := 0; w < il.ways; w++ {
-		var lane []byte
-		var idx []int
+		par := buf[dataLen+w*p : dataLen+(w+1)*p]
+		if il.codec.parityMatches(par, data, w, il.ways) {
+			continue
+		}
+		// Dirty lane: gather it (a lane with no data bytes as the
+		// single byte 0, as Encode treats it) and run the full decoder.
+		var cwBuf [255]byte
+		cw := cwBuf[:0]
 		for i := w; i < dataLen; i += il.ways {
-			lane = append(lane, data[i])
-			idx = append(idx, i)
+			cw = append(cw, data[i])
 		}
-		if len(lane) == 0 {
-			lane = []byte{0}
+		laneLen := len(cw)
+		if laneLen == 0 {
+			cw, laneLen = append(cw, 0), 1
 		}
-		cw := append(lane, buf[parityOff:parityOff+il.codec.parity]...)
-		parityOff += il.codec.parity
-		fixed, n, derr := il.codec.Decode(cw)
+		cw = append(cw, par...)
+		_, n, derr := il.codec.Decode(cw)
 		if derr != nil {
 			return nil, corrected, derr
 		}
 		corrected += n
-		for j, i := range idx {
-			data[i] = fixed[j]
+		for j, i := 0, w; i < dataLen; j, i = j+1, i+il.ways {
+			data[i] = cw[j]
 		}
+		copy(par, cw[laneLen:])
 	}
 	return data, corrected, nil
 }

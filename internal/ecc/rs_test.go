@@ -225,29 +225,6 @@ func TestInterleavedRejectsSizeMismatch(t *testing.T) {
 	}
 }
 
-func BenchmarkRSEncode512(b *testing.B) {
-	il := NewInterleaved(16, 4)
-	data := make([]byte, 512)
-	b.SetBytes(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		il.Encode(data)
-	}
-}
-
-func BenchmarkRSDecodeClean512(b *testing.B) {
-	il := NewInterleaved(16, 4)
-	data := make([]byte, 512)
-	buf := il.Encode(data)
-	b.SetBytes(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := il.Decode(append([]byte(nil), buf...), 512); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestDecodeErasuresFullCapacity(t *testing.T) {
 	// Known-position losses correct up to parity symbols — double the
 	// parity/2 unknown-position budget.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"sero/internal/array"
 	"sero/internal/device"
@@ -327,6 +329,65 @@ func TestCrashConsistencyStripedEveryBoundary(t *testing.T) {
 	}
 	if degradedChecks == 0 {
 		t.Fatal("sweep sampled no degraded mounts")
+	}
+}
+
+// TestConcurrentAuditStepsHealOnce races audit steps over one tampered
+// line. With a single heated line every round is that line, so a step
+// that starts a new round while another step is still repairing the
+// line would check it again and find the same tamper twice. Steps are
+// serialised: one tamper must give exactly one finding and one repair.
+func TestConcurrentAuditStepsHealOnce(t *testing.T) {
+	arr := quietArray(t, 3, 1, 16, 512)
+	fs, err := New(arr, stripedParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, err := fs.Create("evidence", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := payload(9, 3*device.DataBytes)
+	if err := fs.WriteFile(ino, data); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fs.HeatFile("evidence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	member, lpba := arr.Locate(res.Line.Start + 1)
+	bits := device.ForgedFrameBits(lpba, payload(0xAA, device.DataBytes))
+	base := int(lpba) * device.DotsPerBlock
+	for i, b := range bits {
+		arr.MemberDevice(member).Medium().MWB(base+i, b)
+	}
+
+	// A slow repair holds the window open for the other callers.
+	fs.SetAuditRepairer(func(start uint64) (device.LineInfo, error) {
+		time.Sleep(20 * time.Millisecond)
+		return arr.RepairLine(start)
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				fs.AuditStep(1)
+			}
+		}()
+	}
+	wg.Wait()
+	st := fs.Stats()
+	if st.AuditFindings != 1 || st.AuditRepairs != 1 || st.AuditRepairFailures != 0 {
+		t.Fatalf("findings=%d repairs=%d failures=%d, want one finding healed once",
+			st.AuditFindings, st.AuditRepairs, st.AuditRepairFailures)
+	}
+	if rep, err := arr.VerifyLine(res.Line.Start); err != nil || !rep.OK {
+		t.Fatalf("line not healed: %+v err=%v", rep, err)
 	}
 }
 

@@ -56,3 +56,36 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		}
 	}
 }
+
+// blockBytes is one device block's frame image: 592 bytes, one row of
+// the device geometry.
+const blockBytes = 592
+
+func BenchmarkWriteBytes(b *testing.B) {
+	m := New(quiet(64, blockBytes*8))
+	img := make([]byte, blockBytes)
+	b.SetBytes(blockBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WriteBytes(i%64*blockBytes*8, img)
+	}
+}
+
+func BenchmarkReadBytes(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		sigma float64
+	}{{"quiet", 0}, {"noisy", 0.05}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := quiet(64, blockBytes*8)
+			p.ReadNoiseSigma = bc.sigma
+			m := New(p)
+			dst := make([]byte, blockBytes)
+			b.SetBytes(blockBytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ReadBytes(i%64*blockBytes*8, dst)
+			}
+		})
+	}
+}

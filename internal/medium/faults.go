@@ -32,19 +32,36 @@ func (m *Medium) SetStuck(i int, k StuckKind) {
 	default:
 		panic(fmt.Sprintf("medium: unknown stuck kind %d", int(k)))
 	}
-	m.at(i).stuck = k
+	r, c := m.loc(i)
+	old := r.stuckAt(c)
+	if old == k {
+		return
+	}
+	ex := r.exc()
+	if ex.stuck == nil {
+		ex.stuck = make([]StuckKind, m.p.Cols)
+	}
+	ex.stuck[c] = k
+	switch {
+	case old == StuckNone:
+		ex.defects++
+	case k == StuckNone:
+		ex.defects--
+	}
 }
 
 // Stuck returns the defect status of dot i.
-func (m *Medium) Stuck(i int) StuckKind { return m.at(i).stuck }
+func (m *Medium) Stuck(i int) StuckKind {
+	r, c := m.loc(i)
+	return r.stuckAt(c)
+}
 
 // CorruptMagnetic flips the magnetisation of dot i directly, bypassing
 // the write path. Models media decay or an attacker with a raw write
 // head. No effect on heated dots (nothing to flip).
 func (m *Medium) CorruptMagnetic(i int) {
-	d := m.at(i)
-	if !d.heated() {
-		d.up = !d.up
+	if r, c := m.loc(i); !r.heatedAt(c) {
+		m.setUp(i, !m.up(i))
 	}
 }
 
@@ -58,11 +75,50 @@ func (m *Medium) CorruptMagnetic(i int) {
 // demands (the old region's evidence is gone *with the old dots*, so
 // honest repair must re-establish the heat records on the new region,
 // and does — see the device's ReplaceLine).
+//
+// A row the region covers whole drops its exception record; a row it
+// covers in part keeps one, and reads and writes of that row take the
+// byte path again once none of its remaining dots is heated or stuck.
 func (m *Medium) ReplaceRegion(lo, hi int) {
-	if lo < 0 || hi > len(m.dots) || lo > hi {
-		panic(fmt.Sprintf("medium: replace region [%d,%d) outside %d dots", lo, hi, len(m.dots)))
+	if lo < 0 || hi > m.n || lo > hi {
+		panic(fmt.Sprintf("medium: replace region [%d,%d) outside %d dots", lo, hi, m.n))
 	}
-	for i := lo; i < hi; i++ {
-		m.dots[i] = dot{}
+	cols := m.p.Cols
+	for i := lo; i < hi; {
+		r := &m.rows[i/cols]
+		rowLo := i / cols * cols
+		segEnd := min(rowLo+cols, hi)
+		for j := i; j < segEnd; j++ {
+			m.setUp(j, false)
+		}
+		if i == rowLo && segEnd == rowLo+cols {
+			*r = row{}
+			i = segEnd
+			continue
+		}
+		for ; i < segEnd; i++ {
+			c := i - rowLo
+			if r.heatedAt(c) {
+				r.ex.heated--
+			}
+			if r.stuckAt(c) != StuckNone {
+				r.ex.defects--
+			}
+			if r.ex != nil {
+				if r.ex.damage != nil {
+					r.ex.damage[c] = 0
+				}
+				if r.ex.sign != nil {
+					r.ex.sign[c] = 0
+				}
+				if r.ex.stuck != nil {
+					r.ex.stuck[c] = StuckNone
+				}
+			}
+			if r.wearAt(c) != 0 {
+				// Zero the dot's wear against the row's base count.
+				*r.wearSlot(c, cols) = -r.wear
+			}
+		}
 	}
 }

@@ -16,6 +16,9 @@ import (
 const (
 	snapMagic   = "SMED"
 	snapVersion = 2
+	// snapHeader is the header size: magic, version, geometry and the
+	// nine physical parameters. Six bytes per dot follow.
+	snapHeader = 4 + 1 + 4 + 4 + 9*8
 )
 
 // ErrBadSnapshot reports an unparseable snapshot.
@@ -23,7 +26,7 @@ var ErrBadSnapshot = errors.New("medium: bad snapshot")
 
 // Snapshot serialises the complete medium state.
 func (m *Medium) Snapshot() []byte {
-	var buf []byte
+	buf := make([]byte, 0, snapHeader+6*m.n)
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.p.Rows))
@@ -37,21 +40,23 @@ func (m *Medium) Snapshot() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.p.PulseSeconds))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.p.NeighborTempFactor))
 	buf = binary.BigEndian.AppendUint64(buf, m.p.Seed)
-	for i := range m.dots {
-		d := &m.dots[i]
-		var flags byte
-		if d.up {
-			flags |= 1
+	for ri := range m.rows {
+		r := &m.rows[ri]
+		for c := 0; c < m.p.Cols; c++ {
+			var flags byte
+			if m.up(ri*m.p.Cols + c) {
+				flags |= 1
+			}
+			if r.signAt(c) > 0 {
+				flags |= 4
+			}
+			flags |= byte(r.stuckAt(c)) << 3
+			buf = append(buf, flags)
+			// damage quantised to 1/255 — well below the heated
+			// threshold's granularity needs.
+			buf = append(buf, byte(float64(r.damageAt(c))*255+0.5))
+			buf = binary.BigEndian.AppendUint32(buf, r.wearAt(c))
 		}
-		if d.inPlaneSign > 0 {
-			flags |= 4
-		}
-		flags |= byte(d.stuck) << 3
-		buf = append(buf, flags)
-		// damage quantised to 1/255 — well below the heated threshold's
-		// granularity needs.
-		buf = append(buf, byte(float64(d.damage)*255+0.5))
-		buf = binary.BigEndian.AppendUint32(buf, d.wearWrites)
 	}
 	return buf
 }
@@ -59,8 +64,7 @@ func (m *Medium) Snapshot() []byte {
 // RestoreSnapshot reconstructs a medium from a snapshot produced by
 // Snapshot.
 func RestoreSnapshot(buf []byte) (*Medium, error) {
-	const header = 4 + 1 + 4 + 4 + 9*8
-	if len(buf) < header || string(buf[0:4]) != snapMagic {
+	if len(buf) < snapHeader || string(buf[0:4]) != snapMagic {
 		return nil, fmt.Errorf("%w: header", ErrBadSnapshot)
 	}
 	if buf[4] != snapVersion {
@@ -127,19 +131,53 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 		return nil, fmt.Errorf("%w: negative physical parameter", ErrBadSnapshot)
 	}
 	m := New(p)
-	for i := range m.dots {
-		flags := buf[off]
-		d := &m.dots[i]
-		d.up = flags&1 != 0
-		d.damage = float32(buf[off+1]) / 255
-		if flags&4 != 0 {
-			d.inPlaneSign = 1
-		} else if d.heated() {
-			d.inPlaneSign = -1
+	for ri := range m.rows {
+		r := &m.rows[ri]
+		r.wear = binary.BigEndian.Uint32(buf[off+2:])
+		for c := 0; c < cols; c, off = c+1, off+6 {
+			rec := buf[off : off+6]
+			if rec[0]&1 != 0 {
+				m.setUp(ri*cols+c, true)
+			}
+			if rec[0]&^1 != 0 || rec[1] != 0 || binary.BigEndian.Uint32(rec[2:]) != r.wear {
+				m.restoreExceptions(r, ri*cols+c, c, rec)
+			}
 		}
-		d.stuck = StuckKind(flags >> 3 & 3)
-		d.wearWrites = binary.BigEndian.Uint32(buf[off+2:])
-		off += 6
 	}
 	return m, nil
+}
+
+// restoreExceptions restores the per-dot state beyond magnetisation of
+// dot i (column c of row r) from its six-byte snapshot record.
+func (m *Medium) restoreExceptions(r *row, i, c int, rec []byte) {
+	cols := m.p.Cols
+	if rec[1] != 0 {
+		ex := r.exc()
+		if ex.damage == nil {
+			ex.damage = make([]float32, cols)
+		}
+		ex.damage[c] = float32(rec[1]) / 255
+		if isHeated(ex.damage[c]) {
+			ex.heated++
+		}
+	}
+	var sign int8
+	if rec[0]&4 != 0 {
+		sign = 1
+	} else if r.heatedAt(c) {
+		sign = -1
+	}
+	if sign != 0 {
+		ex := r.exc()
+		if ex.sign == nil {
+			ex.sign = make([]int8, cols)
+		}
+		ex.sign[c] = sign
+	}
+	if k := StuckKind(rec[0] >> 3 & 3); k != StuckNone {
+		m.SetStuck(i, k)
+	}
+	if wear := binary.BigEndian.Uint32(rec[2:]); wear != r.wear {
+		*r.wearSlot(c, cols) = wear - r.wear
+	}
 }
