@@ -48,13 +48,14 @@ bench-serve:
 	$(GO) run ./cmd/serocli bench-serve -audit-every 64 -heat-files 64 -out BENCH_serving_audit.json
 
 # A seconds-long smoke pass of the serving benchmark: a small
-# namespace and op budget at 1 and 4 sessions, validated and then
+# namespace and op budget at 1 and 4 sessions, on the raw device and
+# on a 4-member array with one parity member, validated and then
 # discarded. Run by `make ci` so the whole bench-serve pipeline — mix
-# generation, session replay, amortized-sync accounting, report
-# validation — is exercised on every change without the minutes-long
-# full run.
+# generation, session replay, amortized-sync accounting, the array's
+# write, read and move paths, report validation — is exercised on
+# every change without the minutes-long full run.
 bench-serve-quick:
-	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1,4 -out /tmp/sero-bench-quick.json
+	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1,4 -devices 0,4 -parity 1 -out /tmp/sero-bench-quick.json
 	$(GO) run ./tools/benchcheck /tmp/sero-bench-quick.json
 
 # Schema gate over the committed trajectory files.

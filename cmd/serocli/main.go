@@ -420,7 +420,7 @@ func benchServeRun(n, d, files, ops int, seed uint64, parity int, k benchKnobs) 
 		geom = fmt.Sprintf("devices=%d parity=%d", d, cfg.ParityDevices)
 	}
 	fmt.Printf("bench-serve: sessions=%d files=%d ops=%d %s ...\n", n, files, ops, geom)
-	res, err := serve.Run(cfg)
+	res, err := serve.Run(cfg, nil)
 	if err != nil {
 		return res, fmt.Errorf("sessions=%d %s: %w", n, geom, err)
 	}
@@ -482,7 +482,7 @@ func traceCmd(args []string) error {
 	cfg.Seed = *seed
 	cfg.Concurrency = *workers
 	tr := trace.New(*buffer)
-	res, err := serve.RunTraced(cfg, tr)
+	res, err := serve.Run(cfg, tr)
 	if err != nil {
 		return err
 	}

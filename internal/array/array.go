@@ -465,20 +465,28 @@ func (a *Array) SetReadObserver(fn device.ReadObserver) {
 
 // onMemberWrite is the array's member write observer: every committed
 // magnetic write on any member lands here, under that member's write
-// locks. Data-territory writes update the mirror, fold their delta
-// into the parity mirrors, and forward to the client observer; parity
-// territory is ignored (the parity mirror is maintained exclusively by
-// the delta path, so a flushed value can never stomp a newer delta).
+// locks. Data-territory writes go through commitDataWrite; parity
+// territory is only marked written (the parity mirror is maintained
+// exclusively by the delta path, so a flushed value can never stomp a
+// newer delta).
 func (a *Array) onMemberWrite(m int, lpba uint64, data []byte) {
-	row := int(lpba / uint64(a.su))
-	if _, isP := a.parityMember(row, m); isP {
+	if _, isP := a.parityMember(int(lpba/uint64(a.su)), m); isP {
 		a.mu.Lock()
 		a.written[m][lpba] = true
 		a.mu.Unlock()
 		return
 	}
+	a.commitDataWrite(m, lpba, data)
+}
+
+// commitDataWrite records one data write on member m: the mirror and
+// the parity mirrors absorb it and the client observer sees it. It
+// runs for every write a live member commits and, with no device I/O,
+// for every write aimed at a failed member — so such a write is
+// reconstructable (zero acked-write loss through a degraded window).
+func (a *Array) commitDataWrite(m int, lpba uint64, data []byte) {
 	a.mu.Lock()
-	a.applyDataWriteLocked(m, lpba, row, data)
+	a.applyDataWriteLocked(m, lpba, int(lpba/uint64(a.su)), data)
 	fn := a.wobs.Load()
 	var g uint64
 	if fn != nil {
@@ -523,25 +531,6 @@ func (a *Array) applyDataWriteLocked(m int, lpba uint64, row int, data []byte) {
 	}
 	copy(cp, data)
 	a.written[m][lpba] = true
-}
-
-// applyFailedWrite records a data write targeted at a failed member:
-// no device I/O, but the mirror and parity absorb it (so the write is
-// reconstructable — zero acked-write loss through a degraded window)
-// and the client observer still sees it.
-func (a *Array) applyFailedWrite(m int, lpba uint64, data []byte) {
-	row := int(lpba / uint64(a.su))
-	a.mu.Lock()
-	a.applyDataWriteLocked(m, lpba, row, data)
-	fn := a.wobs.Load()
-	var g uint64
-	if fn != nil {
-		g, _ = a.globalOf(m, lpba)
-	}
-	a.mu.Unlock()
-	if fn != nil {
-		(*fn)(g, data)
-	}
 }
 
 // flushParity writes every dirty parity block as batched runs on its
@@ -618,27 +607,26 @@ func (a *Array) MRS(pba uint64) ([]byte, error) { return a.MRSTraced(nil, pba) }
 
 // MRSTraced is MRS with trace attribution.
 func (a *Array) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
-	if err := a.checkRange(pba, 1); err != nil {
-		return nil, err
-	}
-	m, lpba, _, _ := a.locate(pba)
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if !failed {
-		buf, err := a.members[m].MRSTraced(task, lpba)
-		if err == nil {
-			a.syncClock()
-			return buf, nil
-		}
-		if a.p == 0 {
-			a.syncClock()
-			return nil, err
-		}
-	}
-	buf, err := a.reconstructBlock(task, m, lpba)
+	buf, err := a.readBlock(task, pba)
 	a.syncClock()
 	return buf, err
+}
+
+// readBlock reads global block g from its member, degrading to
+// reconstruction from parity when the member is failed or (with
+// parity) the read fails. It leaves the shared clock to the caller.
+func (a *Array) readBlock(task *trace.Task, g uint64) ([]byte, error) {
+	if err := a.checkRange(g, 1); err != nil {
+		return nil, err
+	}
+	m, lpba, _, _ := a.locate(g)
+	if !a.Failed(m) {
+		buf, err := a.members[m].MRSTraced(task, lpba)
+		if err == nil || a.p == 0 {
+			return buf, err
+		}
+	}
+	return a.reconstructBlock(task, m, lpba)
 }
 
 // WriteBlocks writes a contiguous global run, splitting it at stripe
@@ -663,24 +651,32 @@ func (a *Array) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byt
 		a.syncClock()
 		return err
 	}
+	err := a.writeSplit(task, start, blocks)
+	a.flushParity(task)
+	a.syncClock()
+	return err
+}
+
+// writeSplit commits the global run [start, start+len(blocks)) member
+// by member, cut at stripe boundaries; sub-runs aimed at a failed
+// member land in the mirror and parity only. It stops at the first
+// refused sub-run and leaves the parity flush and the shared clock to
+// the caller.
+func (a *Array) writeSplit(task *trace.Task, start uint64, blocks [][]byte) error {
+	if err := a.checkRange(start, len(blocks)); err != nil {
+		return err
+	}
 	for _, mr := range a.splitRun(start, blocks) {
-		a.mu.Lock()
-		failed := a.failed[mr.member]
-		a.mu.Unlock()
-		if failed {
-			for i, b := range mr.run.Blocks {
-				a.applyFailedWrite(mr.member, mr.run.Start+uint64(i), b)
+		if !a.Failed(mr.member) {
+			if err := a.members[mr.member].WriteBlocksTraced(task, mr.run.Start, mr.run.Blocks); err != nil {
+				return err
 			}
 			continue
 		}
-		if err := a.members[mr.member].WriteBlocksTraced(task, mr.run.Start, mr.run.Blocks); err != nil {
-			a.flushParity(task)
-			a.syncClock()
-			return err
+		for i, b := range mr.run.Blocks {
+			a.commitDataWrite(mr.member, mr.run.Start+uint64(i), b)
 		}
 	}
-	a.flushParity(task)
-	a.syncClock()
 	return nil
 }
 
@@ -721,13 +717,10 @@ func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, 
 		if len(subs) == 0 {
 			continue
 		}
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			for _, s := range subs {
 				for i, b := range s.run.Blocks {
-					a.applyFailedWrite(m, s.run.Start+uint64(i), b)
+					a.commitDataWrite(m, s.run.Start+uint64(i), b)
 				}
 			}
 			continue
@@ -776,10 +769,7 @@ func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)
 		if len(slots) == 0 {
 			continue
 		}
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			for _, s := range slots {
 				bufs[s.idx], errs[s.idx] = a.reconstructBlock(nil, m, s.lpba)
 			}
@@ -832,62 +822,19 @@ func (a *Array) moveGroup(moves []device.BlockMove) device.MoveResult {
 		chunk := moves[i:j]
 		bufs := make([][]byte, len(chunk))
 		for k, mv := range chunk {
-			buf, err := a.readForMove(mv.Src)
+			buf, err := a.readBlock(nil, mv.Src)
 			if err != nil {
 				return device.MoveResult{Completed: done, Err: err}
 			}
 			bufs[k] = buf
 		}
-		if err := a.writeForMove(chunk[0].Dst, bufs); err != nil {
+		if err := a.writeSplit(nil, chunk[0].Dst, bufs); err != nil {
 			return device.MoveResult{Completed: done, Err: err}
 		}
 		done += len(chunk)
 		i = j
 	}
 	return device.MoveResult{Completed: done}
-}
-
-// readForMove reads one global block for relocation (degrading to
-// reconstruction when needed).
-func (a *Array) readForMove(g uint64) ([]byte, error) {
-	if err := a.checkRange(g, 1); err != nil {
-		return nil, err
-	}
-	m, lpba, _, _ := a.locate(g)
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
-		return a.reconstructBlock(nil, m, lpba)
-	}
-	buf, err := a.members[m].MRS(lpba)
-	if err != nil && a.p > 0 {
-		return a.reconstructBlock(nil, m, lpba)
-	}
-	return buf, err
-}
-
-// writeForMove commits one destination run through the split path
-// without flushing parity (the caller batches the flush).
-func (a *Array) writeForMove(start uint64, blocks [][]byte) error {
-	if err := a.checkRange(start, len(blocks)); err != nil {
-		return err
-	}
-	for _, mr := range a.splitRun(start, blocks) {
-		a.mu.Lock()
-		failed := a.failed[mr.member]
-		a.mu.Unlock()
-		if failed {
-			for i, b := range mr.run.Blocks {
-				a.applyFailedWrite(mr.member, mr.run.Start+uint64(i), b)
-			}
-			continue
-		}
-		if err := a.members[mr.member].WriteBlocks(mr.run.Start, mr.run.Blocks); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -915,10 +862,7 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		n := uint64(1) << logN
 		zero := make([]byte, device.DataBytes)
 		for i := uint64(0); i < n-1; i++ {
@@ -926,7 +870,7 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 			if int(i) < len(blocks) {
 				b = blocks[i]
 			}
-			a.applyFailedWrite(m, lpba+1+i, b)
+			a.commitDataWrite(m, lpba+1+i, b)
 		}
 		a.flushParity(nil)
 		a.syncClock()
@@ -946,10 +890,7 @@ func (a *Array) HeatLine(start uint64, logN uint8) (device.LineInfo, error) {
 	if err != nil {
 		return device.LineInfo{}, err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.LineInfo{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	li, herr := a.members[m].HeatLine(lpba, logN)
@@ -980,15 +921,11 @@ func (a *Array) translateReport(m int, rep device.VerifyReport) device.VerifyRep
 
 // VerifyLine checks the heated line at global start.
 func (a *Array) VerifyLine(start uint64) (device.VerifyReport, error) {
-	m, lpba, entry, err := a.lineAt(start)
+	m, lpba, _, err := a.lineAt(start)
 	if err != nil {
 		return device.VerifyReport{}, err
 	}
-	_ = entry
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.VerifyReport{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, verr := a.members[m].VerifyLine(lpba)
@@ -1003,10 +940,7 @@ func (a *Array) VerifyLineOffClock(start uint64) (device.VerifyReport, time.Dura
 	if err != nil {
 		return device.VerifyReport{}, 0, err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.VerifyReport{}, 0, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, shadow, verr := a.members[m].VerifyLineOffClock(lpba)
@@ -1044,10 +978,7 @@ func (a *Array) VerifyLines(starts []uint64, workers int) []device.VerifyOutcome
 			out[i] = device.VerifyOutcome{Err: err}
 			continue
 		}
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			out[i] = device.VerifyOutcome{Err: fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, g)}
 			continue
 		}
@@ -1080,10 +1011,7 @@ func (a *Array) Lines() []device.LineInfo {
 	var out []device.LineInfo
 	seen := make(map[uint64]bool)
 	for m, dev := range a.members {
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			continue
 		}
 		for _, li := range dev.Lines() {
@@ -1123,10 +1051,7 @@ func (a *Array) Scan() (recovered []device.LineInfo, unparseable []uint64, err e
 	newLines := make(map[uint64]lineEntry)
 	var findings []ScanFinding
 	for m, dev := range a.members {
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			continue
 		}
 		rec, unp, serr := dev.Scan()
@@ -1183,10 +1108,7 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 	if err != nil {
 		return device.ShredReport{}, err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.ShredReport{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, serr := a.members[m].ShredLine(lpba)

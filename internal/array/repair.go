@@ -178,10 +178,7 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 		return device.LineInfo{}, fmt.Errorf("array: no heated line registered at %d", start)
 	}
 	m := entry.member
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.LineInfo{}, fmt.Errorf("%w: member %d holds line %d (repair the member)", ErrMemberFailed, m, start)
 	}
 	if a.p == 0 {

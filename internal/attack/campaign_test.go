@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -169,7 +168,7 @@ func TestDetectionLatencyBound(t *testing.T) {
 				if i == at {
 					tampered = tamperRandomBlock(fs.Device().(*device.Device), rng, victim)
 				}
-				if err := ap.Apply(op); err != nil {
+				if err := ap.Apply(op, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -280,7 +279,7 @@ func runSoak(t *testing.T, auditOn bool, ops int) soakResult {
 	stream := mix.Generate(sim.NewRNG(99))
 	ap := workload.NewApplier(fs)
 	for i, op := range stream {
-		if err := ap.Apply(op); err != nil {
+		if err := ap.Apply(op, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i%16 == 15 {
@@ -303,7 +302,6 @@ func runSoak(t *testing.T, auditOn bool, ops int) soakResult {
 		findings: len(fs.AuditFindings()),
 	}
 	names := fs.Names()
-	sort.Strings(names)
 	hash := sha256.New()
 	for _, n := range names {
 		ino, err := fs.Lookup(n)

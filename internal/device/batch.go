@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"sync"
 
 	"sero/internal/trace"
 )
@@ -83,30 +82,14 @@ func (d *Device) MoveGroups(groups [][]BlockMove, workers int) []MoveResult {
 	if len(groups) == 0 {
 		return out
 	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+	workers = d.fanWidth(workers, len(groups))
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		pl := d.newPlane(int32(w+1), fanBase)
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane) {
-			defer wg.Done()
-			for g := w; g < len(groups); g += workers {
-				out[g] = d.moveGroupOn(pl, groups[g])
-			}
-		}(w, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "move-fanout")
+	d.fanOut(workers, nil, "move-fanout", func(w int, pl *plane) {
+		for g := w; g < len(groups); g += workers {
+			out[g] = d.moveGroupOn(pl, groups[g])
+		}
+	})
 	return out
 }
 
@@ -124,8 +107,7 @@ func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
 		if err != nil {
 			return MoveResult{Completed: i, Err: err}
 		}
-		dst := chunk[0].Dst
-		if err := d.writeMoveRun(pl, dst, bufs); err != nil {
+		if err := d.writeRunChecked(pl, WriteRun{Start: chunk[0].Dst, Blocks: bufs}); err != nil {
 			return MoveResult{Completed: i, Err: err}
 		}
 		i = j
@@ -163,24 +145,6 @@ func (d *Device) readMoveSources(pl *plane, chunk []BlockMove) ([][]byte, error)
 		i = j
 	}
 	return bufs, nil
-}
-
-// writeMoveRun commits one contiguous destination run as a single
-// batched write command under its stripe locks.
-func (d *Device) writeMoveRun(pl *plane, start uint64, bufs [][]byte) error {
-	end := start + uint64(len(bufs))
-	if err := d.checkPBA(end - 1); err != nil {
-		return err
-	}
-	locked := d.lockRange(start, end)
-	defer d.unlockRange(locked)
-	for pba := start; pba < end; pba++ {
-		if err := d.magWriteCheck(pba); err != nil {
-			return fmt.Errorf("device: move write of block %d: %w", pba, err)
-		}
-	}
-	d.writeRunOn(pl, start, bufs)
-	return nil
 }
 
 // WriteRun is one contiguous batched write command: Blocks land at
@@ -226,43 +190,29 @@ func (d *Device) WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, worker
 	if len(runs) == 0 {
 		return errs
 	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
+	workers = d.fanWidth(workers, len(runs))
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		pl := d.newPlane(int32(w+1), fanBase)
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane) {
-			defer wg.Done()
-			for g := w; g < len(runs); g += workers {
-				errs[g] = d.writeRunChecked(pl, runs[g])
-			}
-		}(w, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, task, "write-fanout")
+	d.fanOut(workers, task, "write-fanout", func(w int, pl *plane) {
+		for g := w; g < len(runs); g += workers {
+			errs[g] = d.writeRunChecked(pl, runs[g])
+		}
+	})
 	return errs
 }
 
-// writeRunChecked validates and commits one run on the given plane,
-// mirroring WriteBlocks' checks block for block. Caller holds the gate
-// read lock.
+// writeRunChecked validates and commits one run on the given plane as
+// one batched command — the single checked body behind WriteBlocks,
+// WriteRunsFanned and MoveGroups' destination runs. Every payload and
+// target block is checked before the first bit is written, so a
+// refused run writes nothing. Caller holds the gate read lock.
 func (d *Device) writeRunChecked(pl *plane, r WriteRun) error {
 	if len(r.Blocks) == 0 {
 		return nil
 	}
 	for i, b := range r.Blocks {
 		if len(b) != DataBytes {
-			return fmt.Errorf("device: WriteRunsFanned payload %d bytes at block %d, want %d",
+			return fmt.Errorf("device: write payload %d bytes at block %d, want %d",
 				len(b), i, DataBytes)
 		}
 	}
@@ -307,38 +257,19 @@ func (d *Device) ReadBlocksFanned(pbas []uint64, workers int) (bufs [][]byte, er
 	if len(pbas) == 0 {
 		return bufs, errs
 	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(pbas) {
-		workers = len(pbas)
-	}
-	per := (len(pbas) + workers - 1) / workers
+	// Worker w reads pbas[w·per, (w+1)·per); re-deriving the width from
+	// per drops the trailing workers a ceiling split would leave empty.
+	n := len(pbas)
+	workers = d.fanWidth(workers, n)
+	per := (n + workers - 1) / workers
+	workers = (n + per - 1) / per
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	planes := make([]*plane, 0, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(pbas) {
-			hi = len(pbas)
+	d.fanOut(workers, nil, "read-fanout", func(w int, pl *plane) {
+		for i := w * per; i < min((w+1)*per, n); i++ {
+			bufs[i], errs[i] = d.readBlockOn(pl, pbas[i])
 		}
-		if lo >= hi {
-			break
-		}
-		pl := d.newPlane(int32(len(planes)+1), fanBase)
-		planes = append(planes, pl)
-		wg.Add(1)
-		go func(lo, hi int, pl *plane) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				bufs[i], errs[i] = d.readBlockOn(pl, pbas[i])
-			}
-		}(lo, hi, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "read-fanout")
+	})
 	return bufs, errs
 }
 

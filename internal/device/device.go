@@ -688,34 +688,9 @@ func (d *Device) WriteBlocks(start uint64, blocks [][]byte) error {
 // entry point the traced lfs paths use so per-op own-device time can
 // be split from queueing.
 func (d *Device) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error {
-	if len(blocks) == 0 {
-		return nil
-	}
-	for i, b := range blocks {
-		if len(b) != DataBytes {
-			return fmt.Errorf("device: WriteBlocks payload %d bytes at block %d, want %d",
-				len(b), i, DataBytes)
-		}
-	}
-	n := uint64(len(blocks))
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	if err := d.checkPBA(start); err != nil {
-		return err
-	}
-	if start+n > uint64(d.p.Blocks) {
-		return fmt.Errorf("%w: [%d,%d) beyond %d blocks",
-			ErrOutOfRange, start, start+n, d.p.Blocks)
-	}
-	locked := d.lockRange(start, start+n)
-	defer d.unlockRange(locked)
-	for pba := start; pba < start+n; pba++ {
-		if err := d.magWriteCheck(pba); err != nil {
-			return err
-		}
-	}
-	d.writeRunOn(d.fgFor(task), start, blocks)
-	return nil
+	return d.writeRunChecked(d.fgFor(task), WriteRun{Start: start, Blocks: blocks})
 }
 
 // MRS magnetically reads block pba (the paper's mrs), returning the
@@ -733,19 +708,7 @@ func (d *Device) MRS(pba uint64) ([]byte, error) {
 func (d *Device) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	if err := d.checkPBA(pba); err != nil {
-		return nil, err
-	}
-	locked := d.lockBlock(pba)
-	defer d.unlockBlock(locked)
-	if err := d.magReadCheck(pba); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, DataBytes)
-	if _, err := d.mrsInto(d.fgFor(task), pba, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return d.readBlockOn(d.fgFor(task), pba)
 }
 
 // mrsInto magnetically reads block pba into dst (DataBytes long) on the

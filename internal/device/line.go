@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"sero/internal/manchester"
-	"sero/internal/trace"
 )
 
 // Line operations (§3 "Heat a line" / "Verify a heated line").
@@ -396,57 +394,13 @@ func (d *Device) VerifyLines(starts []uint64, workers int) []VerifyOutcome {
 	if len(starts) == 0 {
 		return out
 	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(starts) {
-		workers = len(starts)
-	}
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		pl := d.newPlane(int32(w+1), fanBase)
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane) {
-			defer wg.Done()
-			for i := w; i < len(starts); i += workers {
-				out[i].Report, out[i].Err = d.verifyStart(pl, starts[i])
-			}
-		}(w, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "verify-fanout")
-	return out
-}
-
-// drainPlanes closes out a fan-out pass: it folds every worker's
-// stats into the device counters and advances the device clock by the
-// maximum per-worker elapsed virtual time — the parallel-hardware
-// contract shared by VerifyLines and Scan. The advance happens under
-// arrMu so it cannot land inside a foreground operation's stopwatch
-// window and inflate its per-op latency stats. The advance is also the
-// fan-out's cost to its owner: it accumulates into task (nil-safe),
-// and when tracing is on a join span named name covers the pass from
-// launch to the slowest worker (name "" suppresses the span for
-// fan-outs whose call sites emit their own).
-func (d *Device) drainPlanes(planes []*plane, task *trace.Task, name string) {
-	var maxElapsed time.Duration
-	for _, pl := range planes {
-		if e := pl.clock.Now(); e > maxElapsed {
-			maxElapsed = e
+	workers = d.fanWidth(workers, len(starts))
+	d.fanOut(workers, nil, "verify-fanout", func(w int, pl *plane) {
+		for i := w; i < len(starts); i += workers {
+			out[i].Report, out[i].Err = d.verifyStart(pl, starts[i])
 		}
-		d.mergeStats(pl.stats)
-	}
-	d.arrMu.Lock()
-	d.clock.Advance(maxElapsed)
-	d.arrMu.Unlock()
-	task.AddDevice(maxElapsed)
-	if tr := d.tracer.Load(); tr != nil && name != "" && len(planes) > 0 {
-		tr.Emit(trace.Span{Name: name, Cat: "device", Track: d.p.TrackOffset, Session: -1,
-			Start: planes[0].base, Dur: int64(maxElapsed), V1: int64(len(planes))})
-	}
+	})
+	return out
 }
 
 // Lines returns the heated lines known to the device, sorted by start.
@@ -492,43 +446,19 @@ func (d *Device) Scan() (recovered []LineInfo, unparseable []uint64, err error) 
 	defer d.gate.Unlock()
 
 	blocks := uint64(d.p.Blocks)
-	workers := d.Concurrency()
-	if workers > int(blocks) {
-		workers = int(blocks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	results := make([]*scanResult, workers)
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
+	workers := d.fanWidth(0, d.p.Blocks)
+	results := make([]scanResult, workers)
 	const chunk = 16 // contiguous blocks per stride step
-	for w := 0; w < workers; w++ {
-		res := &scanResult{}
-		pl := d.newPlane(int32(w+1), fanBase)
-		results[w] = res
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane, res *scanResult) {
-			defer wg.Done()
-			for lo := uint64(w) * chunk; lo < blocks; lo += uint64(workers) * chunk {
-				hi := lo + chunk
-				if hi > blocks {
-					hi = blocks
-				}
-				d.scanRange(pl, lo, hi, res)
-			}
-		}(w, pl, res)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "scan-fanout")
+	d.fanOut(workers, nil, "scan-fanout", func(w int, pl *plane) {
+		for lo := uint64(w) * chunk; lo < blocks; lo += uint64(workers) * chunk {
+			d.scanRange(pl, lo, min(lo+chunk, blocks), &results[w])
+		}
+	})
 
 	// Surface the lowest-addressed error, deterministically.
 	var firstErr *scanResult
-	for _, res := range results {
-		if res.err != nil && (firstErr == nil || res.errPBA < firstErr.errPBA) {
+	for i := range results {
+		if res := &results[i]; res.err != nil && (firstErr == nil || res.errPBA < firstErr.errPBA) {
 			firstErr = res
 		}
 	}

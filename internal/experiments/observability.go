@@ -49,7 +49,7 @@ func RunE20(sessions int, seed uint64) (E20Result, error) {
 	cfg.SegmentBlocks = 64
 	cfg.SyncEvery = 32
 	tr := trace.New(trace.DefaultBuffer)
-	r, err := serve.RunTraced(cfg, tr)
+	r, err := serve.Run(cfg, tr)
 	if err != nil {
 		return E20Result{}, fmt.Errorf("e20: sessions=%d: %w", sessions, err)
 	}

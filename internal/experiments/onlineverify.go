@@ -187,12 +187,12 @@ func RunE21(seed uint64) (E21Result, error) {
 	cfg.SegmentBlocks = 64
 	cfg.SyncEvery = 32
 	cfg.HeatFiles = 8
-	off, err := serve.Run(cfg)
+	off, err := serve.Run(cfg, nil)
 	if err != nil {
 		return E21Result{}, fmt.Errorf("e21: audit-off run: %w", err)
 	}
 	cfg.AuditEvery = 64
-	on, err := serve.Run(cfg)
+	on, err := serve.Run(cfg, nil)
 	if err != nil {
 		return E21Result{}, fmt.Errorf("e21: audit-on run: %w", err)
 	}

@@ -53,7 +53,7 @@ func RunE18(maxSessions int, seed uint64) (E18Result, error) {
 		cfg.Seed = seed
 		cfg.SegmentBlocks = 64
 		cfg.SyncEvery = 32
-		r, err := serve.Run(cfg)
+		r, err := serve.Run(cfg, nil)
 		if err != nil {
 			return res, fmt.Errorf("e18: sessions=%d: %w", n, err)
 		}

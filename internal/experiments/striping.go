@@ -85,7 +85,7 @@ func e22Width(cfg serve.Config, devices, parity, degraded int, baselineTP float6
 	cfg.Devices = devices
 	cfg.ParityDevices = parity
 	cfg.DegradedDevices = degraded
-	res, err := serve.Run(cfg)
+	res, err := serve.Run(cfg, nil)
 	if err != nil {
 		return E22Width{}, res, err
 	}
@@ -214,12 +214,12 @@ func RunE22(sessions int, seed uint64) (E22Result, error) {
 	one.Seed = seed
 	one.SegmentBlocks = 64
 	one.SyncEvery = 32
-	rawR, err := serve.Run(one)
+	rawR, err := serve.Run(one, nil)
 	if err != nil {
 		return res, fmt.Errorf("e22: raw single-session: %w", err)
 	}
 	one.Devices = 1
-	w1R, err := serve.Run(one)
+	w1R, err := serve.Run(one, nil)
 	if err != nil {
 		return res, fmt.Errorf("e22: width-1 single-session: %w", err)
 	}

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"slices"
 	"sort"
 
 	"sero/internal/device"
@@ -400,7 +401,7 @@ plan:
 			if ref.idx == -1 {
 				continue
 			}
-			in, err := fs.inode(ref.ino)
+			in, err := fs.inode(nil, ref.ino)
 			if err != nil {
 				break plan
 			}
@@ -462,7 +463,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 				fs.stats.CleanerStaleMoves++
 				continue
 			}
-			in, err := fs.inode(ref.ino)
+			in, err := fs.inode(nil, ref.ino)
 			if err != nil {
 				continue // src stays live; its victim stays full
 			}
@@ -480,7 +481,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 	for ino := range plan.rewrite {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	for _, ino := range inos {
 		if !valid[ino] {
 			// No data block of this inode moved. Rewrite it anyway if
@@ -492,7 +493,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 				continue
 			}
 		}
-		in, err := fs.inode(ino)
+		in, err := fs.inode(nil, ino)
 		if err != nil {
 			continue // deleted mid-copy; its blocks went stale above
 		}

@@ -3,6 +3,7 @@ package lfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -252,7 +253,7 @@ type FS struct {
 	// any code that releases the lock mid-operation (waitCleanIdleLocked,
 	// the phased cleaner's copy window) must save and restore it around
 	// the gap. Shared-lock paths (Read) must not touch it — they thread
-	// their task explicitly instead (inodeTask, readPBATaskLocked).
+	// their task explicitly instead (inode, readPBALocked).
 	curTask *trace.Task
 
 	stats Stats
@@ -613,7 +614,9 @@ func (fs *FS) Lookup(name string) (Ino, error) {
 	return ino, nil
 }
 
-// Names returns all file names.
+// Names returns all file names in ascending order, so a caller that
+// walks the namespace in this order pays the same seek charges, and
+// so the same virtual time, on every run.
 func (fs *FS) Names() []string {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -621,6 +624,7 @@ func (fs *FS) Names() []string {
 	for n := range fs.dir {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -628,7 +632,7 @@ func (fs *FS) Names() []string {
 func (fs *FS) Stat(ino Ino) (Inode, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	in, err := fs.inode(ino)
+	in, err := fs.inode(nil, ino)
 	if err != nil {
 		return Inode{}, err
 	}
@@ -663,16 +667,14 @@ func (fs *FS) dropInode(ino Ino) {
 }
 
 // inode resolves an inode, filling the cache from the device on a
-// miss. Caller holds fs.mu (read or write); two concurrent readers
-// may both load the same inode, in which case the later store wins —
-// both copies are identical, freshly parsed from the same block.
-func (fs *FS) inode(ino Ino) (*Inode, error) { return fs.inodeTask(nil, ino) }
-
-// inodeTask is inode with explicit device-time attribution. The task
-// is threaded as a parameter — not read from fs.curTask — because this
-// runs under the shared lock on the read path, where curTask belongs
-// to whatever exclusive section ran last.
-func (fs *FS) inodeTask(task *trace.Task, ino Ino) (*Inode, error) {
+// miss, with any device read charged to task (nil-safe). Caller holds
+// fs.mu (read or write); two concurrent readers may both load the same
+// inode, in which case the later store wins — both copies are
+// identical, freshly parsed from the same block. The task is threaded
+// as a parameter — not read from fs.curTask — because this runs under
+// the shared lock on the read path, where curTask belongs to whatever
+// exclusive section ran last.
+func (fs *FS) inode(task *trace.Task, ino Ino) (*Inode, error) {
 	if in, ok := fs.cachedInode(ino); ok {
 		return in, nil
 	}
@@ -680,7 +682,7 @@ func (fs *FS) inodeTask(task *trace.Task, ino Ino) (*Inode, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: ino %d", ErrNotFound, ino)
 	}
-	data, err := fs.readPBATaskLocked(task, pba)
+	data, err := fs.readPBALocked(task, pba)
 	if err != nil {
 		return nil, fmt.Errorf("lfs: reading inode %d at %d: %w", ino, pba, err)
 	}
@@ -694,16 +696,12 @@ func (fs *FS) inodeTask(task *trace.Task, ino Ino) (*Inode, error) {
 
 // readPBALocked reads one block, serving it from an unflushed
 // group-commit buffer when the block has been appended but not yet
-// committed to the medium. Caller holds fs.mu (read or write); the
-// buffers only change under the exclusive lock, so shared holders may
-// copy from them safely.
-func (fs *FS) readPBALocked(pba uint64) ([]byte, error) {
-	return fs.readPBATaskLocked(nil, pba)
-}
-
-// readPBATaskLocked is readPBALocked with the device read charged to
-// task (explicitly threaded — see inodeTask for why not fs.curTask).
-func (fs *FS) readPBATaskLocked(task *trace.Task, pba uint64) ([]byte, error) {
+// committed to the medium, and otherwise charging the device read to
+// task (nil-safe; explicitly threaded — see inode for why not
+// fs.curTask). Caller holds fs.mu (read or write); the buffers only
+// change under the exclusive lock, so shared holders may copy from
+// them safely.
+func (fs *FS) readPBALocked(task *trace.Task, pba uint64) ([]byte, error) {
 	if s := fs.sm.segOf(pba); s != nil && len(s.pending) > 0 {
 		lo := s.next - len(s.pending)
 		if off := int(pba - s.start); off >= lo && off < s.next {
@@ -727,7 +725,7 @@ func (fs *FS) Write(ino Ino, off uint64, data []byte) error {
 func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) error {
 	fs.lockTask(task)
 	defer fs.unlockTask()
-	in, err := fs.inodeTask(fs.curTask, ino)
+	in, err := fs.inode(fs.curTask, ino)
 	if err != nil {
 		return err
 	}
@@ -757,7 +755,7 @@ func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) er
 			// PBA 0 is the hole sentinel — block 0 is always the
 			// checkpoint, so no file block ever lives there.
 			if blk < len(in.Blocks) && in.Blocks[blk] != 0 && (inner != 0 || n != device.DataBytes) {
-				old, rerr := fs.readPBATaskLocked(fs.curTask, in.Blocks[blk])
+				old, rerr := fs.readPBALocked(fs.curTask, in.Blocks[blk])
 				if rerr == nil {
 					copy(buf, old)
 				}
@@ -812,7 +810,7 @@ func (fs *FS) ReadTraced(task *trace.Task, ino Ino, off uint64, p []byte) (int, 
 		fs.mu.RLock()
 	}
 	defer fs.mu.RUnlock()
-	in, err := fs.inodeTask(task, ino)
+	in, err := fs.inode(task, ino)
 	if err != nil {
 		return 0, err
 	}
@@ -835,7 +833,7 @@ func (fs *FS) ReadTraced(task *trace.Task, ino Ino, off uint64, p []byte) (int, 
 		if buf, ok := fs.dirty[ino][blk]; ok {
 			src = buf
 		} else if blk < len(in.Blocks) && in.Blocks[blk] != 0 {
-			data, rerr := fs.readPBATaskLocked(task, in.Blocks[blk])
+			data, rerr := fs.readPBALocked(task, in.Blocks[blk])
 			if rerr != nil {
 				return read, fmt.Errorf("lfs: reading block %d of ino %d: %w", blk, ino, rerr)
 			}
@@ -876,7 +874,7 @@ func (fs *FS) DeleteTraced(task *trace.Task, name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inodeTask(fs.curTask, ino)
+	in, err := fs.inode(fs.curTask, ino)
 	if err != nil {
 		return err
 	}
@@ -954,7 +952,7 @@ func (fs *FS) flushAffinitiesLocked(skipZero bool) error {
 			affs = append(affs, int(a))
 		}
 	}
-	sortInts(affs)
+	slices.Sort(affs)
 	if len(affs) < 2 || fs.p.Concurrency <= 1 {
 		for _, a := range affs {
 			if err := fs.flushSegment(fs.active[uint8(a)]); err != nil {
@@ -1193,7 +1191,7 @@ func (fs *FS) flushDirtyLocked() error {
 	for ino := range fs.dirty {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	for _, ino := range inos {
 		if err := fs.flushInode(ino); err != nil {
 			return err
@@ -1220,9 +1218,9 @@ func (fs *FS) writeFreshInodesLocked() error {
 			fresh = append(fresh, ino)
 		}
 	}
-	sortInos(fresh)
+	slices.Sort(fresh)
 	for _, ino := range fresh {
-		in, err := fs.inodeTask(fs.curTask, ino)
+		in, err := fs.inode(fs.curTask, ino)
 		if err != nil {
 			return err
 		}
@@ -1258,7 +1256,7 @@ func (fs *FS) syncMetaLocked() error {
 }
 
 func (fs *FS) flushInode(ino Ino) error {
-	in, err := fs.inodeTask(fs.curTask, ino)
+	in, err := fs.inode(fs.curTask, ino)
 	if err != nil {
 		return err
 	}
@@ -1267,7 +1265,7 @@ func (fs *FS) flushInode(ino Ino) error {
 	for i := range blocks {
 		idxs = append(idxs, i)
 	}
-	sortInts(idxs)
+	slices.Sort(idxs)
 	for _, idx := range idxs {
 		pba, aerr := fs.appendBlock(blocks[idx], in.Affinity)
 		if aerr != nil {
@@ -1329,20 +1327,4 @@ func (fs *FS) FreeSegments() int {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.sm.freeSegments()
-}
-
-func sortInos(v []Ino) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

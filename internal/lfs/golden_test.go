@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"testing"
 
 	"sero/internal/device"
@@ -105,10 +104,9 @@ func TestGoldenImage(t *testing.T) {
 	}
 
 	fs.Clean(fs.FreeSegments() + 2)
-	// Names comes from a map: sort it so the read order, and with it
-	// the seek charges and the checkpoint timestamp, is fixed.
+	// Names is sorted, so the read order, and with it the seek charges
+	// and the checkpoint timestamp, is fixed.
 	names := fs.Names()
-	sort.Strings(names)
 	for _, name := range names {
 		ino, err := fs.Lookup(name)
 		if err != nil {

@@ -55,7 +55,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	if !ok {
 		return HeatResult{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inode(ino)
+	in, err := fs.inode(nil, ino)
 	if err != nil {
 		return HeatResult{}, err
 	}
@@ -113,7 +113,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 			image = append(image, make([]byte, device.DataBytes))
 			continue
 		}
-		data, rerr := fs.readPBALocked(old)
+		data, rerr := fs.readPBALocked(nil, old)
 		if rerr != nil {
 			return HeatResult{}, fmt.Errorf("lfs: relocating block %d: %w", old, rerr)
 		}
@@ -235,7 +235,7 @@ func (fs *FS) VerifyFile(name string) ([]device.VerifyReport, error) {
 		fs.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inode(ino)
+	in, err := fs.inode(nil, ino)
 	if err != nil {
 		fs.mu.RUnlock()
 		return nil, err

@@ -3,6 +3,9 @@ package lfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +96,29 @@ func TestLookupAndNames(t *testing.T) {
 	}
 	if n := fs.Names(); len(n) != 1 || n[0] != "f1" {
 		t.Fatalf("names %v", n)
+	}
+}
+
+// TestNamesSorted pins Names' order: whatever order files are created
+// in, the namespace comes back sorted, so callers that walk it see the
+// same sequence on every run.
+func TestNamesSorted(t *testing.T) {
+	fs := testFS(t, 1024, smallParams())
+	want := make([]string, 96)
+	for i := range want {
+		want[i] = fmt.Sprintf("f%03d", i)
+	}
+	created := slices.Clone(want)
+	rand.New(rand.NewPCG(13, 0)).Shuffle(len(created), func(i, j int) {
+		created[i], created[j] = created[j], created[i]
+	})
+	for _, name := range created {
+		if _, err := fs.Create(name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fs.Names(); !slices.Equal(got, want) {
+		t.Fatalf("names not sorted: %v", got)
 	}
 }
 

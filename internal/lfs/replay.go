@@ -3,6 +3,7 @@ package lfs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -145,7 +146,7 @@ func (fs *FS) rebuildLiveness() error {
 			inos = append(inos, ino)
 		}
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	if err := fs.loadInodesFanned(inos); err != nil {
 		return err
 	}
@@ -171,7 +172,7 @@ func (fs *FS) walkLiveness() error {
 	for ino := range fs.imap {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	if err := fs.loadInodesFanned(inos); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,7 +29,6 @@ func mountFingerprint(fs *FS) string {
 		fs.jepoch, fs.jseq, fs.jchain, fs.jpromise)
 	fmt.Fprintf(&b, "stats=%+v\n", fs.Stats())
 	names := fs.Names()
-	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&b, "dir %s=%d\n", n, fs.dir[n])
 	}
@@ -36,7 +36,7 @@ func mountFingerprint(fs *FS) string {
 	for ino := range fs.imap {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	for _, ino := range inos {
 		fmt.Fprintf(&b, "imap %d=%d\n", ino, fs.imap[ino])
 	}

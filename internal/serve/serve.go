@@ -397,17 +397,15 @@ func sessionSeed(seed uint64, i int) uint64 {
 
 // Run executes one serving run: it formats a quiet FS, generates every
 // session's stream, replays them from Sessions concurrent goroutines
-// and merges the per-session recorders into a Result.
-func Run(cfg Config) (Result, error) { return RunTraced(cfg, nil) }
-
-// RunTraced is Run with an optional tracer: when tr is non-nil it is
-// installed on the run's device for the duration, the device and lfs
-// layers emit their spans into it, and every applied op additionally
-// emits one "serve" span tagged with its session id (V1 = lock-wait
-// ns, V2 = own device ns — the queueing decomposition's inputs).
-// Virtual time, layout and the Result are byte-identical with or
-// without a tracer; per-session breakdowns are always collected.
-func RunTraced(cfg Config, tr *trace.Tracer) (Result, error) {
+// and merges the per-session recorders into a Result. tr is optional:
+// when non-nil it is installed on the run's device for the duration,
+// the device and lfs layers emit their spans into it, and every
+// applied op additionally emits one "serve" span tagged with its
+// session id (V1 = lock-wait ns, V2 = own device ns — the queueing
+// decomposition's inputs). Virtual time, layout and the Result are
+// byte-identical with or without a tracer; per-session breakdowns are
+// always collected.
+func Run(cfg Config, tr *trace.Tracer) (Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return Result{}, err
@@ -552,7 +550,7 @@ func RunTraced(cfg Config, tr *trace.Tracer) (Result, error) {
 			for _, op := range s.stream {
 				task := &trace.Task{}
 				t0 := clock.Now()
-				if err := a.ApplyTraced(op, task); err != nil {
+				if err := a.Apply(op, task); err != nil {
 					s.err = fmt.Errorf("serve: session %d: %w", s.id, err)
 					return
 				}

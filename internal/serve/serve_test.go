@@ -19,7 +19,7 @@ func smallConfig(sessions int) Config {
 }
 
 func TestRunSingleSession(t *testing.T) {
-	res, err := Run(smallConfig(1))
+	res, err := Run(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunSingleSession(t *testing.T) {
 // sessions at once; under -race this is the serving tier's race gate.
 func TestRunConcurrentSessions(t *testing.T) {
 	for _, sessions := range []int{2, 4, 8} {
-		res, err := Run(smallConfig(sessions))
+		res, err := Run(smallConfig(sessions), nil)
 		if err != nil {
 			t.Fatalf("sessions=%d: %v", sessions, err)
 		}
@@ -66,11 +66,11 @@ func TestRunConcurrentSessions(t *testing.T) {
 // a pure function of the config — independent of scheduling.
 func TestRunStreamsDeterministic(t *testing.T) {
 	cfg := smallConfig(3)
-	a, err := Run(cfg)
+	a, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"zipf-diverges":  {Sessions: 1, Files: 4, ZipfTheta: 1.0},
 		"huge-fileblock": {Sessions: 1, Files: 4, FileBlocks: 1 << 20},
 	} {
-		if _, err := Run(cfg); err == nil {
+		if _, err := Run(cfg, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
 func TestReportRoundTripAndValidate(t *testing.T) {
-	res, err := Run(smallConfig(2))
+	res, err := Run(smallConfig(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 }
 
 func TestValidateRejectsMalformed(t *testing.T) {
-	good, err := Run(smallConfig(1))
+	good, err := Run(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSessionSeedsDistinct(t *testing.T) {
 // equivalence of the trajectory fields plus the degraded path.
 func TestRunStriped(t *testing.T) {
 	base := smallConfig(4)
-	single, err := Run(base)
+	single, err := Run(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestRunStriped(t *testing.T) {
 	wide := base
 	wide.Devices = 4
 	wide.ParityDevices = 1
-	res, err := Run(wide)
+	res, err := Run(wide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunStriped(t *testing.T) {
 
 	deg := wide
 	deg.DegradedDevices = 1
-	dres, err := Run(deg)
+	dres, err := Run(deg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +259,13 @@ func TestRunStriped(t *testing.T) {
 // order) is schedule-dependent.
 func TestRunWidth1MatchesRawDevice(t *testing.T) {
 	base := smallConfig(1)
-	raw, err := Run(base)
+	raw, err := Run(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1 := base
 	w1.Devices = 1
-	arr, err := Run(w1)
+	arr, err := Run(w1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,9 @@ func (a *Applier) lookup(op Op) (lfs.Ino, error) {
 }
 
 // Apply executes one op. Errors are wrapped with the op kind and name.
-func (a *Applier) Apply(op Op) error { return a.ApplyTraced(op, nil) }
-
-// ApplyTraced executes one op with per-operation attribution: the
-// op's lock-wait and own device time accumulate on task via the FS's
-// Traced entry points (serving tier). A nil task behaves exactly like
-// Apply.
-func (a *Applier) ApplyTraced(op Op, task *trace.Task) error {
+// The op's lock-wait and own device time accumulate on task via the
+// FS's Traced entry points (serving tier); task may be nil.
+func (a *Applier) Apply(op Op, task *trace.Task) error {
 	switch op.Kind {
 	case OpCreate:
 		ino, err := a.fs.CreateTraced(task, op.Name, op.Affinity)
@@ -170,7 +166,7 @@ func (a *Applier) ApplyTraced(op Op, task *trace.Task) error {
 func Apply(fs *lfs.FS, ops []Op) (applied int, err error) {
 	a := NewApplier(fs)
 	for _, op := range ops {
-		if err := a.Apply(op); err != nil {
+		if err := a.Apply(op, nil); err != nil {
 			return applied, err
 		}
 		applied++
