@@ -30,7 +30,7 @@
 // many concurrent sessions against one FS, and writes the measured
 // trajectory — per-op virtual-time latency percentiles, sustained
 // throughput, and the full reproduction config — as a versioned JSON
-// report (internal/serve.SchemaV1) to -out. Its own flags:
+// report (internal/serve.SchemaV3) to -out. Its own flags:
 //
 //	-files N      total namespace width (default 100000)
 //	-ops N        total mix-op budget, population on top (default 32768)

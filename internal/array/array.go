@@ -397,18 +397,7 @@ func (a *Array) SetConcurrency(k int) {
 func (a *Array) Stats() device.OpStats {
 	var out device.OpStats
 	for _, m := range a.members {
-		st := m.Stats()
-		out.MagneticReads += st.MagneticReads
-		out.MagneticWrites += st.MagneticWrites
-		out.ElectricReads += st.ElectricReads
-		out.ElectricWrites += st.ElectricWrites
-		out.HeatLines += st.HeatLines
-		out.VerifyLines += st.VerifyLines
-		out.CorrectedBytes += st.CorrectedBytes
-		out.MagneticReadNS += st.MagneticReadNS
-		out.MagneticWriteNS += st.MagneticWriteNS
-		out.ElectricReadNS += st.ElectricReadNS
-		out.ElectricWriteNS += st.ElectricWriteNS
+		out.Add(m.Stats())
 	}
 	return out
 }
@@ -536,30 +525,30 @@ func (a *Array) applyDataWriteLocked(m int, lpba uint64, row int, data []byte) {
 // flushParity writes every dirty parity block as batched runs on its
 // member. flushMu serialises flushes per member: the pending set and
 // the values are captured under it, so device write order matches
-// mirror order.
-func (a *Array) flushParity(task *trace.Task) {
-	if a.p == 0 {
-		return
-	}
-	for pm := 0; pm < a.n; pm++ {
+// mirror order. A member refusing a parity write (a bad block) does
+// not stop the others: the refusals come back joined, and the mirror
+// still holds the parity, so reads and reconstruction stay correct.
+func (a *Array) flushParity(task *trace.Task) error {
+	var err error
+	for pm := 0; pm < a.n && a.p > 0; pm++ {
 		a.mu.Lock()
 		dirty := len(a.pending[pm]) > 0
 		a.mu.Unlock()
-		if !dirty {
-			continue
+		if dirty {
+			err = errors.Join(err, a.flushMember(task, pm))
 		}
-		a.flushMember(task, pm)
 	}
+	return err
 }
 
 // flushMember drains member pm's dirty parity blocks.
-func (a *Array) flushMember(task *trace.Task, pm int) {
+func (a *Array) flushMember(task *trace.Task, pm int) error {
 	a.flushMu[pm].Lock()
 	defer a.flushMu[pm].Unlock()
 	a.mu.Lock()
 	if len(a.pending[pm]) == 0 {
 		a.mu.Unlock()
-		return
+		return nil
 	}
 	pbas := make([]uint64, 0, len(a.pending[pm]))
 	for lpba := range a.pending[pm] {
@@ -576,7 +565,7 @@ func (a *Array) flushMember(task *trace.Task, pm int) {
 	a.cnt.parityWrites += uint64(len(pbas))
 	a.mu.Unlock()
 	if failed {
-		return // mirror holds the truth; the rebuild rewrites it
+		return nil // mirror holds the truth; the rebuild rewrites it
 	}
 	var runs []device.WriteRun
 	for i := 0; i < len(pbas); {
@@ -587,15 +576,12 @@ func (a *Array) flushMember(task *trace.Task, pm int) {
 		runs = append(runs, device.WriteRun{Start: pbas[i], Blocks: vals[i:j]})
 		i = j
 	}
-	errs := a.members[pm].WriteRunsFannedTraced(task, runs, a.Concurrency())
-	for _, err := range errs {
+	for _, err := range a.members[pm].WriteRunsFannedTraced(task, runs, a.Concurrency()) {
 		if err != nil {
-			// Parity landing on a bad block is survivable — the
-			// mirror still covers it and a scrub can relocate — but
-			// it should never happen on an honestly operated member.
-			panic(fmt.Sprintf("array: parity flush refused on member %d: %v", pm, err))
+			return fmt.Errorf("array: parity flush refused on member %d: %w", pm, err)
 		}
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -652,7 +638,9 @@ func (a *Array) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byt
 		return err
 	}
 	err := a.writeSplit(task, start, blocks)
-	a.flushParity(task)
+	if ferr := a.flushParity(task); err == nil {
+		err = ferr
+	}
 	a.syncClock()
 	return err
 }
@@ -736,7 +724,13 @@ func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, 
 			}
 		}
 	}
-	a.flushParity(task)
+	// A refused parity flush fails every run that otherwise landed.
+	ferr := a.flushParity(task)
+	for i := range errs {
+		if errs[i] == nil {
+			errs[i] = ferr
+		}
+	}
 	a.syncClock()
 	return errs
 }
@@ -805,7 +799,12 @@ func (a *Array) MoveGroups(groups [][]device.BlockMove, workers int) []device.Mo
 	for gi, moves := range groups {
 		out[gi] = a.moveGroup(moves)
 	}
-	a.flushParity(nil)
+	ferr := a.flushParity(nil)
+	for gi := range out {
+		if out[gi].Err == nil {
+			out[gi].Err = ferr
+		}
+	}
 	a.syncClock()
 	return out
 }
@@ -872,14 +871,14 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 			}
 			a.commitDataWrite(m, lpba+1+i, b)
 		}
-		a.flushParity(nil)
-		a.syncClock()
-		return nil
+	} else {
+		err = a.members[m].WriteLineBatch(lpba, logN, blocks)
 	}
-	werr := a.members[m].WriteLineBatch(lpba, logN, blocks)
-	a.flushParity(nil)
+	if ferr := a.flushParity(nil); err == nil {
+		err = ferr
+	}
 	a.syncClock()
-	return werr
+	return err
 }
 
 // HeatLine freezes the line at global start. The heat record the
@@ -1131,11 +1130,11 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 			}
 		}
 		a.mu.Unlock()
-		a.flushParity(nil)
+		serr = a.flushParity(nil)
 	}
 	a.syncClock()
 	rep.Line.Start = start
-	return rep, nil
+	return rep, serr
 }
 
 // logNOr returns the entry's logN, falling back to the report's.

@@ -2,6 +2,7 @@ package array
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -448,5 +449,42 @@ func TestSaveImageContainer(t *testing.T) {
 	}
 	if off != len(img) {
 		t.Fatalf("trailing %d bytes", len(img)-off)
+	}
+}
+
+// TestParityFlushRefusalIsTypedError marks the row-0 parity block bad
+// on its member, then writes row-0 data: the parity flush is refused,
+// and the write must report that as an error wrapping
+// device.ErrBadBlock — not panic — while the data block itself lands
+// and reads back. The fanned write path reports it the same way.
+func TestParityFlushRefusalIsTypedError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("refused parity flush panicked: %v", r)
+		}
+	}()
+	a := mustBuild(t, 3, 1, 8, 64)
+	if _, isP := a.parityMember(0, 0); !isP {
+		t.Fatal("member 0 does not hold row 0's parity")
+	}
+	if err := a.MemberDevice(0).MarkBad(0); err != nil {
+		t.Fatal(err)
+	}
+	want := payload(1)
+	err := a.WriteBlocks(0, [][]byte{want})
+	if !errors.Is(err, device.ErrBadBlock) {
+		t.Fatalf("WriteBlocks: got %v, want an error wrapping %v", err, device.ErrBadBlock)
+	}
+	got, rerr := a.MRS(0)
+	if rerr != nil || !bytes.Equal(got, want) {
+		t.Fatalf("data block after refused parity flush: %v", rerr)
+	}
+
+	errs := a.WriteRunsFanned([]device.WriteRun{{Start: 0, Blocks: [][]byte{payload(2)}}}, 2)
+	if !errors.Is(errs[0], device.ErrBadBlock) {
+		t.Fatalf("WriteRunsFanned: got %v, want an error wrapping %v", errs[0], device.ErrBadBlock)
+	}
+	if got, rerr := a.MRS(0); rerr != nil || !bytes.Equal(got, payload(2)) {
+		t.Fatalf("data block after fanned write: %v", rerr)
 	}
 }

@@ -208,10 +208,10 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 	a.mu.Lock()
 	a.cnt.repairedLines++
 	a.mu.Unlock()
-	a.flushParity(nil)
+	err = a.flushParity(nil)
 	a.syncClock()
 	li.Start = start
-	return li, nil
+	return li, err
 }
 
 // Stats is the array-level health and accounting snapshot (member

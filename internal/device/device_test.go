@@ -3,6 +3,7 @@ package device
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"sero/internal/medium"
@@ -705,4 +706,41 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	New(Params{Blocks: 0})
+}
+
+// TestOpStatsAddCoversEveryField pins OpStats.Add to the struct: every
+// field must be summed, so a counter added to OpStats cannot silently
+// drop out of the device's plane merges or the array's member sum.
+func TestOpStatsAddCoversEveryField(t *testing.T) {
+	var a, b OpStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	// counter reads or writes field i as an int64 (OpStats holds only
+	// uint64 counters and time.Duration totals).
+	counter := func(v reflect.Value, i int, set int64) int64 {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			if set > 0 {
+				f.SetUint(uint64(set))
+			}
+			return int64(f.Uint())
+		case reflect.Int64:
+			if set > 0 {
+				f.SetInt(set)
+			}
+			return f.Int()
+		}
+		t.Fatalf("OpStats.%s has unexpected kind %s", v.Type().Field(i).Name, f.Kind())
+		return 0
+	}
+	for i := 0; i < va.NumField(); i++ {
+		counter(va, i, int64(i+1))
+		counter(vb, i, int64(100*(i+1)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := counter(va, i, 0), int64(101*(i+1)); got != want {
+			t.Errorf("OpStats.%s after Add = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
+	}
 }

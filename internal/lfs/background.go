@@ -20,34 +20,37 @@ package lfs
 // cleaner's half of the bargain — while conversion to allocatable
 // rides the sync path, exactly as it does for inline cleaning.
 
-// kickCleanerLocked arms (on first use) and wakes the background
-// cleaner goroutine. Caller holds fs.mu exclusively. A no-op when the
-// watermark policy is off or the FS is closed; the wake itself never
-// blocks (the kick channel holds one pending wake, which is all the
-// level-triggered loop needs).
-func (fs *FS) kickCleanerLocked() {
-	if fs.p.CleanWatermark <= 0 || fs.closed {
-		return
-	}
-	if fs.bgKick == nil {
-		fs.bgKick = make(chan struct{}, 1)
-		fs.bgStop = make(chan struct{})
-		fs.bgDone = make(chan struct{})
-		go fs.cleanerLoop(fs.bgKick, fs.bgStop, fs.bgDone)
+// worker is a lazily armed, level-triggered background goroutine —
+// the shape both the watermark cleaner and the audit cadence share.
+// Its fields are written only under fs.mu; all three channels are nil
+// until the first wake.
+type worker struct {
+	kick chan struct{} // one pending wake; wakes never block
+	stop chan struct{} // closed once, by the first Close
+	done chan struct{} // closed when the goroutine exits
+}
+
+// wake arms the worker on first use, starting a goroutine that calls
+// step(fs) after every kick and again while step reports more work,
+// and then delivers one wake. Caller holds fs.mu exclusively. The wake
+// never blocks: one pending kick is all a level-triggered loop needs.
+func (w *worker) wake(fs *FS, step func(*FS) bool) {
+	if w.kick == nil {
+		w.kick = make(chan struct{}, 1)
+		w.stop = make(chan struct{})
+		w.done = make(chan struct{})
+		go workerLoop(w.kick, w.stop, w.done, fs, step)
 	}
 	select {
-	case fs.bgKick <- struct{}{}:
+	case w.kick <- struct{}{}:
 	default:
 	}
 }
 
-// cleanerLoop is the background cleaner goroutine: wait for a kick,
-// then run phased cleaning passes until the reclaimable pool is back
-// above the watermark or no pass makes progress (nothing cleanable
-// right now, or a foreground pass owns the cleaner), then park again.
-// The channels are passed in rather than read from fs so Close can
-// tear the fields down without racing the loop.
-func (fs *FS) cleanerLoop(kick, stop <-chan struct{}, done chan<- struct{}) {
+// workerLoop is the worker goroutine: wait for a kick, then call step
+// until it reports no more work. A closed stop ends it before the next
+// step.
+func workerLoop(kick, stop <-chan struct{}, done chan<- struct{}, fs *FS, step func(*FS) bool) {
 	defer close(done)
 	for {
 		select {
@@ -61,32 +64,58 @@ func (fs *FS) cleanerLoop(kick, stop <-chan struct{}, done chan<- struct{}) {
 				return
 			default:
 			}
-			fs.mu.Lock()
-			wm := fs.p.CleanWatermark
-			before := fs.sm.reclaimable()
-			fs.mu.Unlock()
-			if before >= wm {
-				break
-			}
-			cs := fs.cleanPhased(wm)
-			fs.mu.Lock()
-			if cs.SegmentsCleaned > 0 || cs.BlocksCopied > 0 {
-				fs.stats.CleanerBgRuns++
-			}
-			progressed := fs.sm.reclaimable() > before
-			fs.mu.Unlock()
-			if !progressed {
-				// No net gain: nothing cleanable at current utilisation,
-				// a foreground pass holds the cleaner, or the pass's own
-				// appends ate what it freed. Park rather than spin — the
-				// next allocation dip re-kicks us. (Judging progress by
-				// gross segments freed would livelock here: near
-				// capacity a pass can keep freeing victims while netting
-				// zero.)
+			if !step(fs) {
 				break
 			}
 		}
 	}
+}
+
+// halt stops an armed worker and waits for its goroutine to exit; only
+// the first Close (first) closes stop. A never-armed worker is a no-op.
+func (w worker) halt(first bool) {
+	if w.stop == nil {
+		return
+	}
+	if first {
+		close(w.stop)
+	}
+	<-w.done
+}
+
+// kickCleanerLocked arms (on first use) and wakes the background
+// cleaner. Caller holds fs.mu exclusively. A no-op when the watermark
+// policy is off or the FS is closed.
+func (fs *FS) kickCleanerLocked() {
+	if fs.p.CleanWatermark > 0 && !fs.closed {
+		fs.bgClean.wake(fs, (*FS).cleanBackground)
+	}
+}
+
+// cleanBackground is one step of the background cleaner: run phased
+// cleaning passes until the reclaimable pool is back above the
+// watermark, and report whether the pass made net progress. No
+// progress (nothing cleanable at current utilisation, a foreground
+// pass holds the cleaner, or the pass's own appends ate what it freed)
+// parks the worker rather than spinning — the next allocation dip
+// re-kicks it. (Judging progress by gross segments freed would
+// livelock here: near capacity a pass can keep freeing victims while
+// netting zero.)
+func (fs *FS) cleanBackground() bool {
+	fs.mu.Lock()
+	wm := fs.p.CleanWatermark
+	before := fs.sm.reclaimable()
+	fs.mu.Unlock()
+	if before >= wm {
+		return false
+	}
+	cs := fs.cleanPhased(wm)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if cs.SegmentsCleaned > 0 || cs.BlocksCopied > 0 {
+		fs.stats.CleanerBgRuns++
+	}
+	return fs.sm.reclaimable() > before
 }
 
 // Close stops the background cleaner and the background auditor,
@@ -95,28 +124,16 @@ func (fs *FS) cleanerLoop(kick, stop <-chan struct{}, done chan<- struct{}) {
 // remains usable after Close — foreground operations, explicit Clean
 // and AuditStep keep working; only the watermark and audit-cadence
 // policies are retired. Close is idempotent and safe to call
-// concurrently with foreground operations.
+// concurrently with foreground operations: every Close waits, so a
+// second concurrent Close does not return while the goroutine the
+// first one is stopping still issues device writes.
 func (fs *FS) Close() error {
 	fs.mu.Lock()
 	first := !fs.closed
 	fs.closed = true
-	stop, done := fs.bgStop, fs.bgDone
-	astop, adone := fs.aStop, fs.aDone
+	clean, audit := fs.bgClean, fs.bgAudit
 	fs.mu.Unlock()
-	if stop != nil {
-		if first {
-			close(stop)
-		}
-		// Every Close waits: a second concurrent Close must not return
-		// while the goroutine the first one is stopping still issues
-		// device writes.
-		<-done
-	}
-	if astop != nil {
-		if first {
-			close(astop)
-		}
-		<-adone
-	}
+	clean.halt(first)
+	audit.halt(first)
 	return nil
 }

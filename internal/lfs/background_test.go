@@ -172,7 +172,7 @@ func TestCommitDropsStaleMoves(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("no victims in the fragmented population")
 	}
-	plan := fs.planVictimsLocked(victims, &cs)
+	plan := fs.planVictimsLocked(nil, victims, &cs)
 	if plan == nil {
 		t.Fatal("plan failed")
 	}
@@ -208,7 +208,7 @@ func TestCommitDropsStaleMoves(t *testing.T) {
 
 	results := fs.dev.MoveGroups(plan.groups, plan.workers)
 	fs.mu.Lock()
-	fs.commitVictimsLocked(plan, results, &cs)
+	fs.commitVictimsLocked(nil, plan, results, &cs)
 	fs.mu.Unlock()
 
 	if cs.MovesInvalidated != staleMoves {
@@ -591,7 +591,7 @@ func benchmarkAppendDuringClean(b *testing.B, phased bool) {
 			go func() {
 				fs.mu.Lock()
 				close(started) // the pass owns the lock from here on
-				cs := fs.cleanLocked(target)
+				cs := fs.cleanLocked(nil, target)
 				fs.mu.Unlock()
 				done <- cs
 			}()
@@ -618,3 +618,118 @@ func BenchmarkAppendDuringCleanForeground(b *testing.B) { benchmarkAppendDuringC
 // BenchmarkAppendDuringCleanBackground overlaps the same append stream
 // with the phased pass, whose copy phase holds no FS lock.
 func BenchmarkAppendDuringCleanBackground(b *testing.B) { benchmarkAppendDuringClean(b, true) }
+
+// TestWorkerContract pins the background worker's contract on the type
+// itself: wakes never block, even while a step is running; every halt
+// waits for the goroutine to exit, the first one stopping it and a
+// concurrent second one just waiting; and no step starts after stop.
+func TestWorkerContract(t *testing.T) {
+	var w worker
+	release := make(chan struct{})
+	var steps sync.WaitGroup
+	steps.Add(1)
+	calls := 0
+	step := func(*FS) bool {
+		calls++
+		steps.Done()
+		<-release
+		return true // more work: only stop ends the loop
+	}
+	w.wake(nil, step)
+	steps.Wait() // the step is running and parked
+	for i := 0; i < 100; i++ {
+		w.wake(nil, step) // must not block
+	}
+
+	halted := make(chan int, 2)
+	go func() { w.halt(true); halted <- 1 }()
+	go func() { w.halt(false); halted <- 2 }()
+	select {
+	case h := <-halted:
+		t.Fatalf("halt %d returned while a step was still running", h)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-halted
+	<-halted
+	select {
+	case <-w.done:
+	default:
+		t.Fatal("halt returned before the goroutine exited")
+	}
+	if calls != 1 {
+		t.Fatalf("%d steps ran, want 1 (no step may start after stop)", calls)
+	}
+	var idle worker
+	idle.halt(true) // a never-armed worker halts as a no-op
+}
+
+// TestCloseStopsBothWorkers arms the background cleaner and auditor,
+// then closes the FS from several goroutines at once: every Close must
+// return only after both goroutines have exited. A kick after Close
+// must not arm a worker.
+func TestCloseStopsBothWorkers(t *testing.T) {
+	p := Params{
+		SegmentBlocks:    32,
+		CheckpointBlocks: 32,
+		WritebackBlocks:  32,
+		HeatAware:        true,
+		ReserveSegments:  2,
+		Concurrency:      4,
+		CleanWatermark:   8,
+		AuditEvery:       16,
+	}
+	fs := testFS(t, 2048, p)
+	ino, err := fs.Create("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := func() bool {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		return fs.bgClean.kick != nil && fs.bgAudit.kick != nil
+	}
+	for i := 0; !armed(); i++ {
+		if i == 200 {
+			t.Fatal("churn never armed both workers")
+		}
+		if err := fs.WriteFile(ino, payload(byte(i), 32*device.DataBytes)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fs.Close(); err != nil {
+				t.Error(err)
+			}
+			for _, done := range []chan struct{}{fs.bgClean.done, fs.bgAudit.done} {
+				select {
+				case <-done:
+				default:
+					t.Error("Close returned before a worker exited")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A worker never armed before Close stays unarmed.
+	idle := testFS(t, 2048, p)
+	if err := idle.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idle.mu.Lock()
+	idle.kickCleanerLocked()
+	idle.kickAuditorLocked()
+	if idle.bgClean.kick != nil || idle.bgAudit.kick != nil {
+		t.Error("a kick after Close armed a worker")
+	}
+	idle.mu.Unlock()
+}

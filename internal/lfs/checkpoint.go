@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"sero/internal/device"
+	"sero/internal/trace"
 )
 
 // Checkpointing. The checkpoint region at the front of the device is
@@ -195,7 +196,7 @@ func (fs *FS) parseTable(buf []byte, imap map[Ino]uint64) ([]liveRef, string) {
 // re-anchors the summary chain at the affinity-0 write frontier, where
 // the slot's jstart names the promise block the first record of the
 // new epoch must land in.
-func (fs *FS) writeCheckpointLocked() error {
+func (fs *FS) writeCheckpointLocked(task *trace.Task) error {
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
 	epoch := fs.ckptEpoch + 1
@@ -206,7 +207,7 @@ func (fs *FS) writeCheckpointLocked() error {
 	var jstart uint64
 	seg := fs.active[0]
 	if seg != nil && seg.next >= fs.p.SegmentBlocks {
-		if err := fs.sealSegment(seg); err != nil {
+		if err := fs.sealSegment(task, seg); err != nil {
 			return err
 		}
 		seg = nil
@@ -295,7 +296,7 @@ func (fs *FS) writeCheckpointLocked() error {
 		blocks[i] = blockBuf
 	}
 	base := uint64((epoch - 1) % 2 * uint64(slot))
-	if err := fs.dev.WriteBlocksTraced(fs.curTask, base, blocks); err != nil {
+	if err := fs.dev.WriteBlocksTraced(task, base, blocks); err != nil {
 		// Nothing was reserved and the chain state is untouched: the
 		// previous checkpoint and its chain remain authoritative.
 		return fmt.Errorf("lfs: writing checkpoint: %w", err)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sero/internal/device"
+	"sero/internal/trace"
 )
 
 // The segment cleaner, following the cost-benefit policy of Rosenblum
@@ -125,7 +126,7 @@ func (fs *FS) Clean(targetFree int) CleanStats {
 		fs.mu.Lock()
 		// A failure leaves the freed segments gated (SegFreeing) —
 		// the safe direction; the next successful Sync releases them.
-		cs.Checkpointed = fs.syncMetaLocked() == nil
+		cs.Checkpointed = fs.syncMetaLocked(nil) == nil
 		fs.mu.Unlock()
 	}
 	return cs
@@ -190,7 +191,9 @@ func (fs *FS) cleanPhased(targetFree int) CleanStats {
 // and commit failures — the caller should stop rather than thrash).
 // The caller holds fs.mu with fs.cleaning clear and reclaimable() <
 // targetFree; the round releases fs.mu for its copy phase and returns
-// with it re-held and fs.cleaning clear again.
+// with it re-held and fs.cleaning clear again. A phased round works on
+// behalf of no foreground operation, so its device time is charged to
+// no task.
 func (fs *FS) cleanRoundLocked(targetFree int, cs *CleanStats) bool {
 	fs.setCleaningLocked(true)
 	tr := fs.dev.Tracer()
@@ -213,7 +216,7 @@ func (fs *FS) cleanRoundLocked(targetFree int, cs *CleanStats) bool {
 	victims := fs.pickVictims(k, cs)
 	var plan *cleanPlan
 	if len(victims) > 0 {
-		plan = fs.planVictimsLocked(victims, cs)
+		plan = fs.planVictimsLocked(nil, victims, cs)
 	}
 	if plan == nil {
 		fs.setCleaningLocked(false)
@@ -232,7 +235,7 @@ func (fs *FS) cleanRoundLocked(targetFree int, cs *CleanStats) bool {
 	tCommit := fs.now()
 	prevCopied := cs.BlocksCopied
 	prevStale := cs.MovesInvalidated
-	ok := fs.commitVictimsLocked(plan, results, cs)
+	ok := fs.commitVictimsLocked(nil, plan, results, cs)
 	fs.stats.CleanerCopied += uint64(cs.BlocksCopied - prevCopied)
 	fs.emitSpan(tr, "clean-commit", tCommit,
 		int64(cs.BlocksCopied-prevCopied), int64(cs.MovesInvalidated-prevStale))
@@ -249,8 +252,9 @@ func (fs *FS) cleanRoundLocked(targetFree int, cs *CleanStats) bool {
 // for paths that discover they are out of space while already holding
 // the lock (appendBlock, line allocation, sync space accounting) — and
 // the exclusive-lock baseline that BenchmarkAppendDuringCleanForeground
-// measures.
-func (fs *FS) cleanLocked(targetFree int) CleanStats {
+// measures. Its flushes and inode rewrites are charged to task, the
+// operation that ran out of space.
+func (fs *FS) cleanLocked(task *trace.Task, targetFree int) CleanStats {
 	var cs CleanStats
 	if fs.cleaning {
 		return cs // re-entrant trigger from the cleaner's own appends
@@ -269,7 +273,7 @@ func (fs *FS) cleanLocked(targetFree int) CleanStats {
 			break
 		}
 		before := fs.sm.reclaimable()
-		if !fs.cleanVictims(victims, &cs) {
+		if !fs.cleanVictims(task, victims, &cs) {
 			break
 		}
 		if fs.sm.reclaimable() <= before {
@@ -353,13 +357,13 @@ func (fs *FS) pickVictims(k int, cs *CleanStats) []*segment {
 // cleanVictims runs the plan/copy/commit pipeline over one set of
 // victims without releasing fs.mu. It reports whether the pass freed
 // at least one segment; false stops the cleaning loop.
-func (fs *FS) cleanVictims(victims []*segment, cs *CleanStats) bool {
-	plan := fs.planVictimsLocked(victims, cs)
+func (fs *FS) cleanVictims(task *trace.Task, victims []*segment, cs *CleanStats) bool {
+	plan := fs.planVictimsLocked(task, victims, cs)
 	if plan == nil {
 		return false
 	}
 	results := fs.dev.MoveGroups(plan.groups, plan.workers)
-	return fs.commitVictimsLocked(plan, results, cs)
+	return fs.commitVictimsLocked(task, plan, results, cs)
 }
 
 // planVictimsLocked is phase 1: flush the active buffers (the copy
@@ -368,8 +372,8 @@ func (fs *FS) cleanVictims(victims []*segment, cs *CleanStats) bool {
 // reserve destinations in log order. Inode blocks are relocated by
 // rewriting (phase 3), not copying. Caller holds fs.mu exclusively; a
 // nil return means the pass cannot proceed (no pins are left behind).
-func (fs *FS) planVictimsLocked(victims []*segment, cs *CleanStats) *cleanPlan {
-	if fs.flushActiveLocked() != nil {
+func (fs *FS) planVictimsLocked(task *trace.Task, victims []*segment, cs *CleanStats) *cleanPlan {
+	if fs.flushAffinitiesLocked(task, false) != nil {
 		return nil
 	}
 	plan := &cleanPlan{
@@ -405,7 +409,7 @@ plan:
 			if err != nil {
 				break plan
 			}
-			dst, err := fs.reserveSlot(in.Affinity)
+			dst, err := fs.reserveSlot(task, in.Affinity)
 			if err != nil {
 				// Out of log space: clean what was planned so far; the
 				// blocks left behind keep their victims full.
@@ -423,7 +427,7 @@ plan:
 // rewrite each touched inode once, then free the victims that emptied
 // and unpin the rest. Caller holds fs.mu exclusively. Returns false on
 // a commit failure (a failed inode rewrite), which stops the loop.
-func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, cs *CleanStats) bool {
+func (fs *FS) commitVictimsLocked(task *trace.Task, plan *cleanPlan, results []device.MoveResult, cs *CleanStats) bool {
 	cs.Workers = plan.workers
 	defer func() {
 		for _, v := range plan.victims {
@@ -497,7 +501,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 		if err != nil {
 			continue // deleted mid-copy; its blocks went stale above
 		}
-		if err := fs.writeInode(in); err != nil {
+		if err := fs.writeInode(task, in); err != nil {
 			// Without the rewrite on the log, a later checkpoint would
 			// still reference the stale inode; freeing its victims now
 			// would let new writes overwrite blocks that stale inode
@@ -533,14 +537,14 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 // run stays the contiguous tail of the segment — and because the slot
 // is carved out by bumping the frontier, appends issued while the copy
 // phase runs off the lock land strictly behind every reservation.
-func (fs *FS) reserveSlot(affinity uint8) (uint64, error) {
+func (fs *FS) reserveSlot(task *trace.Task, affinity uint8) (uint64, error) {
 	if !fs.p.HeatAware {
 		affinity = 0
 	}
 	seg := fs.active[affinity]
 	if seg == nil || seg.next >= fs.p.SegmentBlocks {
 		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
+			if err := fs.sealSegment(task, seg); err != nil {
 				return 0, err
 			}
 		}

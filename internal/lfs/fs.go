@@ -154,6 +154,11 @@ type blockRef struct {
 // transition so a Sync that finds itself short of space can wait for
 // an in-flight pass to commit instead of failing with ErrFull while
 // reclaimable segments are seconds away.
+//
+// Attribution: a traced operation passes its *trace.Task down to every
+// device command it issues, under either lock; device work done on
+// behalf of no operation (phased cleaning, Clean, Checkpoint) passes
+// nil.
 type FS struct {
 	mu  sync.RWMutex
 	dev device.Dev
@@ -197,25 +202,20 @@ type FS struct {
 	cleaning  bool
 	cleanCond *sync.Cond
 
-	// Background cleaner state (background.go): armed lazily on the
-	// first watermark dip, torn down by Close. All three channels are
-	// nil until then; closed refuses further arming.
-	bgKick chan struct{}
-	bgStop chan struct{}
-	bgDone chan struct{}
-	closed bool
+	// The background cleaner and auditor (background.go): each armed
+	// lazily on its first kick and stopped by Close; closed refuses
+	// further arming.
+	bgClean worker
+	bgAudit worker
+	closed  bool
 
 	// Incremental audit state (audit.go): the engine is built lazily
 	// on first use (AuditStep, or the first AuditEvery cadence kick)
 	// and registers itself as the device's read observer. sinceAudit
 	// counts blocks appended since the last cadence kick — distinct
-	// from fs.appended, which resets at checkpoints. The channels
-	// mirror the background cleaner's and are torn down by Close.
+	// from fs.appended, which resets at checkpoints.
 	auditor    *core.IncrementalAuditor
 	sinceAudit uint64
-	aKick      chan struct{}
-	aStop      chan struct{}
-	aDone      chan struct{}
 
 	// Roll-forward journal state (summary.go, replay.go). The summary
 	// chain lives in the data log at the affinity-0 write frontier:
@@ -245,16 +245,6 @@ type FS struct {
 	// mstats records how the last Mount rebuilt liveness (table-driven
 	// or full walk), for diagnostics, experiments and tests.
 	mstats MountStats
-
-	// curTask is the per-operation attribution target for device time
-	// charged from the current exclusive section (flushes, journal and
-	// checkpoint writes, inline cleaning). It is valid ONLY while fs.mu
-	// is held exclusively: lockTask sets it, unlockTask clears it, and
-	// any code that releases the lock mid-operation (waitCleanIdleLocked,
-	// the phased cleaner's copy window) must save and restore it around
-	// the gap. Shared-lock paths (Read) must not touch it — they thread
-	// their task explicitly instead (inode, readPBALocked).
-	curTask *trace.Task
 
 	stats Stats
 }
@@ -449,17 +439,18 @@ func (fs *FS) setCleaningLocked(v bool) {
 // lowSpaceCleanLocked is the allocation paths' shared space policy: a
 // dip to the watermark wakes the background cleaner (which runs off
 // this lock); a dip to the reserve cleans inline, right here, as the
-// last resort. Caller holds fs.mu exclusively. Note the inline clean
+// last resort, charging its device writes to task. Caller holds fs.mu
+// exclusively. Note the inline clean
 // no-ops while a phased pass is mid-copy (fs.cleaning): callers that
 // are at rest should waitCleanIdleLocked first; mid-flush callers
 // (appendBlock) cannot wait and rely on their operation having
 // secured space up front (ensureSyncSpaceLocked).
-func (fs *FS) lowSpaceCleanLocked() {
+func (fs *FS) lowSpaceCleanLocked(task *trace.Task) {
 	if fs.sm.freeSegments() <= fs.p.CleanWatermark {
 		fs.kickCleanerLocked()
 	}
 	if fs.sm.freeSegments() <= fs.p.ReserveSegments {
-		fs.cleanLocked(fs.p.ReserveSegments + 1)
+		fs.cleanLocked(task, fs.p.ReserveSegments+1)
 	}
 }
 
@@ -471,17 +462,9 @@ func (fs *FS) lowSpaceCleanLocked() {
 // lock); on return either the pool covers need or no pass is in
 // flight (so an inline clean can run).
 func (fs *FS) waitCleanIdleLocked(need int) {
-	// The wait releases fs.mu, so other lock holders run in the gap:
-	// clear fs.curTask before waiting (their device work — e.g. the
-	// phased cleaner's commit — must not attribute to the waiter) and
-	// restore it once the lock is re-held, since a traced holder's
-	// unlockTask will have nil'd it.
-	task := fs.curTask
-	fs.curTask = nil
 	for fs.cleaning && fs.sm.freeSegments() < need {
 		fs.cleanCond.Wait()
 	}
-	fs.curTask = task
 }
 
 // Device returns the underlying device.
@@ -504,9 +487,9 @@ func (fs *FS) Stats() Stats {
 
 // lockTask takes fs.mu exclusively on behalf of a traced operation:
 // virtual time spent waiting for the lock is charged to task as
-// lock-wait, and task becomes fs.curTask — the attribution target for
-// device commands issued from this exclusive section. A nil task is
-// the untraced fast path (plain Lock).
+// lock-wait. A nil task is the untraced fast path (plain Lock). The
+// operation then passes task to every device command it issues from
+// the exclusive section.
 func (fs *FS) lockTask(task *trace.Task) {
 	if task == nil {
 		fs.mu.Lock()
@@ -515,14 +498,6 @@ func (fs *FS) lockTask(task *trace.Task) {
 	t0 := fs.now()
 	fs.mu.Lock()
 	task.AddLockWait(fs.now() - t0)
-	fs.curTask = task
-}
-
-// unlockTask clears the attribution target and releases fs.mu.
-// Safe for untraced sections too (curTask is already nil there).
-func (fs *FS) unlockTask() {
-	fs.curTask = nil
-	fs.mu.Unlock()
 }
 
 // emitSpan records an lfs-category foreground span from start to the
@@ -552,7 +527,7 @@ func (fs *FS) Create(name string, affinity uint8) (Ino, error) {
 // behaves exactly like Create.
 func (fs *FS) CreateTraced(task *trace.Task, name string, affinity uint8) (Ino, error) {
 	fs.lockTask(task)
-	defer fs.unlockTask()
+	defer fs.mu.Unlock()
 	if name == "" {
 		return 0, errors.New("lfs: empty file name")
 	}
@@ -582,7 +557,7 @@ func (fs *FS) Rename(oldName, newName string) error {
 // behaves exactly like Rename.
 func (fs *FS) RenameTraced(task *trace.Task, oldName, newName string) error {
 	fs.lockTask(task)
-	defer fs.unlockTask()
+	defer fs.mu.Unlock()
 	if newName == "" {
 		return errors.New("lfs: empty file name")
 	}
@@ -670,10 +645,7 @@ func (fs *FS) dropInode(ino Ino) {
 // miss, with any device read charged to task (nil-safe). Caller holds
 // fs.mu (read or write); two concurrent readers may both load the same
 // inode, in which case the later store wins — both copies are
-// identical, freshly parsed from the same block. The task is threaded
-// as a parameter — not read from fs.curTask — because this runs under
-// the shared lock on the read path, where curTask belongs to whatever
-// exclusive section ran last.
+// identical, freshly parsed from the same block.
 func (fs *FS) inode(task *trace.Task, ino Ino) (*Inode, error) {
 	if in, ok := fs.cachedInode(ino); ok {
 		return in, nil
@@ -697,8 +669,7 @@ func (fs *FS) inode(task *trace.Task, ino Ino) (*Inode, error) {
 // readPBALocked reads one block, serving it from an unflushed
 // group-commit buffer when the block has been appended but not yet
 // committed to the medium, and otherwise charging the device read to
-// task (nil-safe; explicitly threaded — see inode for why not
-// fs.curTask). Caller holds fs.mu (read or write); the buffers only
+// task (nil-safe). Caller holds fs.mu (read or write); the buffers only
 // change under the exclusive lock, so shared holders may copy from
 // them safely.
 func (fs *FS) readPBALocked(task *trace.Task, pba uint64) ([]byte, error) {
@@ -724,8 +695,8 @@ func (fs *FS) Write(ino Ino, off uint64, data []byte) error {
 // Write.
 func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) error {
 	fs.lockTask(task)
-	defer fs.unlockTask()
-	in, err := fs.inode(fs.curTask, ino)
+	defer fs.mu.Unlock()
+	in, err := fs.inode(task, ino)
 	if err != nil {
 		return err
 	}
@@ -755,7 +726,7 @@ func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) er
 			// PBA 0 is the hole sentinel — block 0 is always the
 			// checkpoint, so no file block ever lives there.
 			if blk < len(in.Blocks) && in.Blocks[blk] != 0 && (inner != 0 || n != device.DataBytes) {
-				old, rerr := fs.readPBALocked(fs.curTask, in.Blocks[blk])
+				old, rerr := fs.readPBALocked(task, in.Blocks[blk])
 				if rerr == nil {
 					copy(buf, old)
 				}
@@ -798,9 +769,7 @@ func (fs *FS) Read(ino Ino, off uint64, p []byte) (int, error) {
 
 // ReadTraced is Read with per-operation attribution: time spent
 // acquiring the shared lock is charged as lock-wait and device reads
-// as device time. The task is threaded explicitly through the read
-// path (never via fs.curTask, which belongs to exclusive sections);
-// nil behaves exactly like Read.
+// as device time; nil behaves exactly like Read.
 func (fs *FS) ReadTraced(task *trace.Task, ino Ino, off uint64, p []byte) (int, error) {
 	if task != nil {
 		t0 := fs.now()
@@ -869,12 +838,12 @@ func (fs *FS) Delete(name string) error {
 // behaves exactly like Delete.
 func (fs *FS) DeleteTraced(task *trace.Task, name string) error {
 	fs.lockTask(task)
-	defer fs.unlockTask()
+	defer fs.mu.Unlock()
 	ino, ok := fs.dir[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inode(fs.curTask, ino)
+	in, err := fs.inode(task, ino)
 	if err != nil {
 		return err
 	}
@@ -904,8 +873,8 @@ func (fs *FS) DeleteTraced(task *trace.Task, name string) error {
 // retires it out of the active state. A segment that acquired heated
 // lines while active (heat-oblivious placement) retires as pinned,
 // never as cleanable-full.
-func (fs *FS) sealSegment(seg *segment) error {
-	if err := fs.flushSegment(seg); err != nil {
+func (fs *FS) sealSegment(task *trace.Task, seg *segment) error {
+	if err := fs.flushSegment(task, seg); err != nil {
 		return err
 	}
 	if seg.heatedBlocks > 0 {
@@ -919,13 +888,15 @@ func (fs *FS) sealSegment(seg *segment) error {
 // flushSegment group-commits the segment's pending run — the buffered
 // blocks at [next-len(pending), next) — as one batched multi-block
 // device write: the covering stripe locks are taken once and the
-// servo settles once, instead of once per block.
-func (fs *FS) flushSegment(seg *segment) error {
+// servo settles once, instead of once per block. The write is charged
+// to task, like every device command an operation issues under the
+// exclusive lock (nil for the cleaner's and Checkpoint's own work).
+func (fs *FS) flushSegment(task *trace.Task, seg *segment) error {
 	if seg == nil || len(seg.pending) == 0 {
 		return nil
 	}
 	start := seg.start + uint64(seg.next-len(seg.pending))
-	if err := fs.dev.WriteBlocksTraced(fs.curTask, start, seg.pending); err != nil {
+	if err := fs.dev.WriteBlocksTraced(task, start, seg.pending); err != nil {
 		return fmt.Errorf("lfs: group commit of segment %d: %w", seg.id, err)
 	}
 	fs.stats.GroupCommits++
@@ -934,15 +905,17 @@ func (fs *FS) flushSegment(seg *segment) error {
 }
 
 // flushAffinitiesLocked group-commits active appender buffers in
-// affinity order for determinism, optionally skipping affinity 0.
-// With Concurrency > 1 and two or more non-empty buffers, the
-// per-class runs are committed concurrently on worker planes
-// (device.WriteRunsFanned, one batched command per class): every
-// class's destination run was preassigned at buffering time from its
-// own private frontier, so the on-medium layout is identical for any
-// worker count and only the virtual time changes — the fanned flush
-// costs its slowest class, not the sum (ARCHITECTURE.md contract 2).
-func (fs *FS) flushAffinitiesLocked(skipZero bool) error {
+// affinity order for determinism, optionally skipping affinity 0 (the
+// serial summary-tail sync flushes that buffer inside the record's
+// own command — see syncJournalLocked). With Concurrency > 1 and two
+// or more non-empty buffers, the per-class runs are committed
+// concurrently on worker planes (device.WriteRunsFanned, one batched
+// command per class): every class's destination run was preassigned
+// at buffering time from its own private frontier, so the on-medium
+// layout is identical for any worker count and only the virtual time
+// changes — the fanned flush costs its slowest class, not the sum
+// (ARCHITECTURE.md contract 2).
+func (fs *FS) flushAffinitiesLocked(task *trace.Task, skipZero bool) error {
 	affs := make([]int, 0, len(fs.active))
 	for a := range fs.active {
 		if skipZero && a == 0 {
@@ -955,7 +928,7 @@ func (fs *FS) flushAffinitiesLocked(skipZero bool) error {
 	slices.Sort(affs)
 	if len(affs) < 2 || fs.p.Concurrency <= 1 {
 		for _, a := range affs {
-			if err := fs.flushSegment(fs.active[uint8(a)]); err != nil {
+			if err := fs.flushSegment(task, fs.active[uint8(a)]); err != nil {
 				return err
 			}
 		}
@@ -971,7 +944,7 @@ func (fs *FS) flushAffinitiesLocked(skipZero bool) error {
 			Blocks: seg.pending,
 		}
 	}
-	errs := fs.dev.WriteRunsFannedTraced(fs.curTask, runs, fs.p.Concurrency)
+	errs := fs.dev.WriteRunsFannedTraced(task, runs, fs.p.Concurrency)
 	var firstErr error
 	for i, err := range errs {
 		if err != nil {
@@ -985,15 +958,6 @@ func (fs *FS) flushAffinitiesLocked(skipZero bool) error {
 	}
 	return firstErr
 }
-
-// flushActiveLocked group-commits every active appender's buffer.
-func (fs *FS) flushActiveLocked() error { return fs.flushAffinitiesLocked(false) }
-
-// flushOtherAffinitiesLocked group-commits every buffer except the
-// affinity-0 appender's, which the serial summary-tail sync flushes
-// inside the record's own command (the fanned sync flushes it on a
-// worker plane instead — see syncJournalLocked).
-func (fs *FS) flushOtherAffinitiesLocked() error { return fs.flushAffinitiesLocked(true) }
 
 // dirtyAffinitiesLocked counts affinity classes with buffered,
 // uncommitted appends.
@@ -1016,18 +980,18 @@ func (fs *FS) dirtyAffinitiesLocked() int {
 // affinity, so the baseline configuration collapses every class onto
 // one appender — that is the "clustering off" half of the §4.1
 // ablation.
-func (fs *FS) appendBlock(data []byte, affinity uint8) (uint64, error) {
+func (fs *FS) appendBlock(task *trace.Task, data []byte, affinity uint8) (uint64, error) {
 	if !fs.p.HeatAware {
 		affinity = 0
 	}
 	seg := fs.active[affinity]
 	if seg == nil || seg.next >= fs.p.SegmentBlocks {
 		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
+			if err := fs.sealSegment(task, seg); err != nil {
 				return 0, err
 			}
 		}
-		fs.lowSpaceCleanLocked()
+		fs.lowSpaceCleanLocked(task)
 		seg = fs.sm.allocSegment(affinity)
 		if seg == nil {
 			return 0, ErrFull
@@ -1048,7 +1012,7 @@ func (fs *FS) appendBlock(data []byte, affinity uint8) (uint64, error) {
 		}
 	}
 	if len(seg.pending) >= fs.p.WritebackBlocks {
-		if err := fs.flushSegment(seg); err != nil {
+		if err := fs.flushSegment(task, seg); err != nil {
 			return 0, err
 		}
 	}
@@ -1070,8 +1034,8 @@ func (fs *FS) Sync() error {
 // exactly like Sync.
 func (fs *FS) SyncTraced(task *trace.Task) error {
 	fs.lockTask(task)
-	defer fs.unlockTask()
-	return fs.syncLocked()
+	defer fs.mu.Unlock()
+	return fs.syncLocked(task)
 }
 
 // Checkpoint forces a full checkpoint: it flushes everything a Sync
@@ -1082,13 +1046,13 @@ func (fs *FS) SyncTraced(task *trace.Task) error {
 func (fs *FS) Checkpoint() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.ensureSyncSpaceLocked(); err != nil {
+	if err := fs.ensureSyncSpaceLocked(nil); err != nil {
 		return err
 	}
-	if err := fs.flushDirtyLocked(); err != nil {
+	if err := fs.flushDirtyLocked(nil); err != nil {
 		return err
 	}
-	return fs.syncMetaLocked()
+	return fs.syncMetaLocked(nil)
 }
 
 // unwedgeFreeingLocked releases cleaner-gated segments when the FS is
@@ -1098,11 +1062,11 @@ func (fs *FS) Checkpoint() error {
 // flight, the metadata graph references only live blocks, and live
 // blocks are never in emptied victims, so a checkpoint here safely
 // stops referencing the gated segments and converts them.
-func (fs *FS) unwedgeFreeingLocked() error {
+func (fs *FS) unwedgeFreeingLocked(task *trace.Task) error {
 	if fs.sm.freeingSegments() == 0 {
 		return nil
 	}
-	return fs.syncMetaLocked()
+	return fs.syncMetaLocked(task)
 }
 
 // ensureSyncSpaceLocked secures enough SegFree segments to flush
@@ -1113,7 +1077,7 @@ func (fs *FS) unwedgeFreeingLocked() error {
 // convert, repeat until the estimate fits or cleaning stops making
 // net progress. Without this, a write-heavy workload near capacity
 // wedges into ErrFull with reclaimable space sitting idle.
-func (fs *FS) ensureSyncSpaceLocked() error {
+func (fs *FS) ensureSyncSpaceLocked(task *trace.Task) error {
 	need := fs.syncSpaceNeedLocked()
 	// A background pass mid-copy owns the cleaner, so cleaning inline
 	// here would no-op; rather than wedge into ErrFull with segments
@@ -1126,8 +1090,8 @@ func (fs *FS) ensureSyncSpaceLocked() error {
 	}
 	for tries := 0; fs.sm.freeSegments() < need && tries < len(fs.sm.segs); tries++ {
 		before := fs.sm.freeSegments()
-		fs.cleanLocked(need)
-		if err := fs.syncMetaLocked(); err != nil {
+		fs.cleanLocked(task, need)
+		if err := fs.syncMetaLocked(task); err != nil {
 			return err
 		}
 		if fs.sm.freeSegments() <= before {
@@ -1152,31 +1116,31 @@ func (fs *FS) syncSpaceNeedLocked() int {
 	return blocks/fs.p.SegmentBlocks + 1 + fs.p.ReserveSegments
 }
 
-func (fs *FS) syncLocked() error {
+func (fs *FS) syncLocked(task *trace.Task) error {
 	fs.stats.Syncs++
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
-	if err := fs.ensureSyncSpaceLocked(); err != nil {
+	if err := fs.ensureSyncSpaceLocked(task); err != nil {
 		return err
 	}
 	fs.emitSpan(tr, "sync-space", t0, int64(fs.sm.freeSegments()), 0)
 	t1 := fs.now()
-	if err := fs.flushDirtyLocked(); err != nil {
+	if err := fs.flushDirtyLocked(task); err != nil {
 		return err
 	}
 	fs.emitSpan(tr, "sync-flush", t1, 0, 0)
 	t2 := fs.now()
 	if fs.checkpointDueLocked() {
-		err := fs.syncMetaLocked()
+		err := fs.syncMetaLocked(task)
 		fs.emitSpan(tr, "sync-meta", t2, 0, 0)
 		return err
 	}
-	err := fs.syncJournalLocked()
+	err := fs.syncJournalLocked(task)
 	if errors.Is(err, errJournalFull) {
 		// The delta cannot be journaled (no space, or too large for
 		// one record); a checkpoint captures the same state directly.
 		fs.stats.CheckpointFallbacks++
-		err = fs.syncMetaLocked()
+		err = fs.syncMetaLocked(task)
 		fs.emitSpan(tr, "sync-meta", t2, 0, 1)
 		return err
 	}
@@ -1186,14 +1150,14 @@ func (fs *FS) syncLocked() error {
 
 // flushDirtyLocked flushes every dirty inode to the log in
 // deterministic order, so experiments stay reproducible.
-func (fs *FS) flushDirtyLocked() error {
+func (fs *FS) flushDirtyLocked(task *trace.Task) error {
 	inos := make([]Ino, 0, len(fs.dirty))
 	for ino := range fs.dirty {
 		inos = append(inos, ino)
 	}
 	slices.Sort(inos)
 	for _, ino := range inos {
-		if err := fs.flushInode(ino); err != nil {
+		if err := fs.flushInode(task, ino); err != nil {
 			return err
 		}
 	}
@@ -1211,7 +1175,7 @@ func (fs *FS) checkpointDueLocked() bool {
 // writeFreshInodesLocked writes inodes for files that have none on the
 // log yet; without one, durable metadata would record their directory
 // entry but no imap entry, leaving them half-existent after a mount.
-func (fs *FS) writeFreshInodesLocked() error {
+func (fs *FS) writeFreshInodesLocked(task *trace.Task) error {
 	fresh := make([]Ino, 0)
 	for ino := range fs.names {
 		if _, ok := fs.imap[ino]; !ok {
@@ -1220,11 +1184,11 @@ func (fs *FS) writeFreshInodesLocked() error {
 	}
 	slices.Sort(fresh)
 	for _, ino := range fresh {
-		in, err := fs.inode(fs.curTask, ino)
+		in, err := fs.inode(task, ino)
 		if err != nil {
 			return err
 		}
-		if err := fs.writeInode(in); err != nil {
+		if err := fs.writeInode(task, in); err != nil {
 			return err
 		}
 	}
@@ -1239,24 +1203,24 @@ func (fs *FS) writeFreshInodesLocked() error {
 // mid-flush: every imap entry has to point at a complete inode image
 // (buffered or written). For the summary-record counterpart, see
 // syncJournalLocked.
-func (fs *FS) syncMetaLocked() error {
-	if err := fs.writeFreshInodesLocked(); err != nil {
+func (fs *FS) syncMetaLocked(task *trace.Task) error {
+	if err := fs.writeFreshInodesLocked(task); err != nil {
 		return err
 	}
 	// Everything the checkpoint is about to ack must be on the medium
 	// before the checkpoint itself is.
-	if err := fs.flushActiveLocked(); err != nil {
+	if err := fs.flushAffinitiesLocked(task, false); err != nil {
 		return err
 	}
-	if err := fs.writeCheckpointLocked(); err != nil {
+	if err := fs.writeCheckpointLocked(task); err != nil {
 		return err
 	}
 	fs.sm.convertFreeing()
 	return nil
 }
 
-func (fs *FS) flushInode(ino Ino) error {
-	in, err := fs.inode(fs.curTask, ino)
+func (fs *FS) flushInode(task *trace.Task, ino Ino) error {
+	in, err := fs.inode(task, ino)
 	if err != nil {
 		return err
 	}
@@ -1267,7 +1231,7 @@ func (fs *FS) flushInode(ino Ino) error {
 	}
 	slices.Sort(idxs)
 	for _, idx := range idxs {
-		pba, aerr := fs.appendBlock(blocks[idx], in.Affinity)
+		pba, aerr := fs.appendBlock(task, blocks[idx], in.Affinity)
 		if aerr != nil {
 			return aerr
 		}
@@ -1291,16 +1255,16 @@ func (fs *FS) flushInode(ino Ino) error {
 		delete(fs.pendSize, ino)
 	}
 	delete(fs.dirty, ino)
-	return fs.writeInode(in)
+	return fs.writeInode(task, in)
 }
 
 // writeInode appends the inode block to the log and updates the imap.
-func (fs *FS) writeInode(in *Inode) error {
+func (fs *FS) writeInode(task *trace.Task, in *Inode) error {
 	buf, err := in.Marshal()
 	if err != nil {
 		return err
 	}
-	pba, err := fs.appendBlock(buf, in.Affinity)
+	pba, err := fs.appendBlock(task, buf, in.Affinity)
 	if err != nil {
 		return err
 	}

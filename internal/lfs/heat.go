@@ -43,7 +43,7 @@ func (fs *FS) HeatFile(name string) (HeatResult, error) {
 // trace.Task); nil task behaves exactly like HeatFile.
 func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) {
 	fs.lockTask(task)
-	defer fs.unlockTask()
+	defer fs.mu.Unlock()
 	// Wait out any in-flight background pass while space is short: its
 	// commit is about to free segments, and the inline cleans on the
 	// allocation paths below would no-op against it. This must happen
@@ -65,13 +65,13 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	// The FS is at rest here: release any cleaner-gated segments so
 	// the relocation below cannot starve while reclaimable space sits
 	// idle (see unwedgeFreeingLocked).
-	if err := fs.unwedgeFreeingLocked(); err != nil {
+	if err := fs.unwedgeFreeingLocked(task); err != nil {
 		return HeatResult{}, err
 	}
 	// Flush pending writes (data or a bare size extension) so the
 	// on-medium state is current before the line image is built.
 	if len(fs.dirty[ino]) > 0 || fs.pendSize[ino] > in.Size {
-		if err := fs.flushInode(ino); err != nil {
+		if err := fs.flushInode(task, ino); err != nil {
 			return HeatResult{}, err
 		}
 	}
@@ -79,7 +79,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	// Line needs hash + inode + data blocks.
 	need := 2 + len(in.Blocks)
 	logN := lineExponent(need)
-	start, err := fs.allocLineSpace(logN, in.Affinity)
+	start, err := fs.allocLineSpace(task, logN, in.Affinity)
 	if err != nil {
 		return HeatResult{}, err
 	}
@@ -156,26 +156,27 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	return HeatResult{Ino: ino, Line: li, BlocksMoved: moved}, nil
 }
 
-// allocLineSpace finds a 2^logN-aligned run for a heated line.
-func (fs *FS) allocLineSpace(logN uint8, affinity uint8) (uint64, error) {
+// allocLineSpace finds a 2^logN-aligned run for a heated line,
+// charging any flush or inline clean it triggers to task.
+func (fs *FS) allocLineSpace(task *trace.Task, logN uint8, affinity uint8) (uint64, error) {
 	size := 1 << logN
 	if size > fs.p.SegmentBlocks {
 		return 0, fmt.Errorf("lfs: line of %d blocks exceeds segment size %d", size, fs.p.SegmentBlocks)
 	}
 	if fs.p.HeatAware {
-		return fs.allocLineClustered(logN, affinity)
+		return fs.allocLineClustered(task, logN, affinity)
 	}
-	return fs.allocLineInPlace(logN, affinity)
+	return fs.allocLineInPlace(task, logN, affinity)
 }
 
 // allocLineClustered packs lines into dedicated heat segments.
-func (fs *FS) allocLineClustered(logN uint8, affinity uint8) (uint64, error) {
+func (fs *FS) allocLineClustered(task *trace.Task, logN uint8, affinity uint8) (uint64, error) {
 	size := 1 << logN
 	seg := fs.heatSeg[affinity]
 	cursor := fs.heatCursor[affinity]
 	cursor = alignUp(cursor, size)
 	if seg == nil || cursor+size > fs.p.SegmentBlocks {
-		fs.lowSpaceCleanLocked()
+		fs.lowSpaceCleanLocked(task)
 		seg = fs.sm.allocSegment(affinity)
 		if seg == nil {
 			return 0, ErrFull
@@ -191,17 +192,17 @@ func (fs *FS) allocLineClustered(logN uint8, affinity uint8) (uint64, error) {
 
 // allocLineInPlace carves the line out of the current data segment
 // (heat-oblivious baseline; affinity-blind like appendBlock).
-func (fs *FS) allocLineInPlace(logN uint8, affinity uint8) (uint64, error) {
+func (fs *FS) allocLineInPlace(task *trace.Task, logN uint8, affinity uint8) (uint64, error) {
 	affinity = 0
 	size := 1 << logN
 	seg := fs.active[affinity]
 	if seg == nil || alignUp(seg.next, size)+size > fs.p.SegmentBlocks {
 		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
+			if err := fs.sealSegment(task, seg); err != nil {
 				return 0, err
 			}
 		}
-		fs.lowSpaceCleanLocked()
+		fs.lowSpaceCleanLocked(task)
 		seg = fs.sm.allocSegment(affinity)
 		if seg == nil {
 			return 0, ErrFull
@@ -210,7 +211,7 @@ func (fs *FS) allocLineInPlace(logN uint8, affinity uint8) (uint64, error) {
 	}
 	// The line is written device-direct; group-commit the buffered
 	// tail first so the pending run stays contiguous at seg.next.
-	if err := fs.flushSegment(seg); err != nil {
+	if err := fs.flushSegment(task, seg); err != nil {
 		return 0, err
 	}
 	seg.next = alignUp(seg.next, size)

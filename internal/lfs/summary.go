@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"sero/internal/device"
+	"sero/internal/trace"
 )
 
 // The segment journal: roll-forward summary records.
@@ -379,7 +380,7 @@ func (fs *FS) foldRecord(payload []byte) [][]byte {
 // surface it without the data.
 //
 // Callers must have flushed every *other* affinity's buffer first.
-func (fs *FS) appendRecordLocked(payload []byte) error {
+func (fs *FS) appendRecordLocked(task *trace.Task, payload []byte) error {
 	if fs.jpromise == 0 {
 		return errJournalFull
 	}
@@ -394,7 +395,7 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 	// segment; otherwise retire it and start a fresh one.
 	if seg == nil || seg.next+nb+1 > fs.p.SegmentBlocks {
 		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
+			if err := fs.sealSegment(task, seg); err != nil {
 				return err
 			}
 		}
@@ -421,7 +422,7 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 		// Nothing appended since the promise was reserved: the record
 		// goes directly into the promise slot. One command.
 		blocks := fs.foldRecord(payload)
-		if err := fs.dev.WriteBlocksTraced(fs.curTask, fs.jpromise, blocks); err != nil {
+		if err := fs.dev.WriteBlocksTraced(task, fs.jpromise, blocks); err != nil {
 			fs.jpromise = 0
 			return fmt.Errorf("lfs: writing summary record: %w", err)
 		}
@@ -435,7 +436,7 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 		run = append(run, fs.foldJump(recPos))
 		run = append(run, seg.pending...)
 		run = append(run, fs.foldRecord(payload)...)
-		if err := fs.dev.WriteBlocksTraced(fs.curTask, fs.jpromise, run); err != nil {
+		if err := fs.dev.WriteBlocksTraced(task, fs.jpromise, run); err != nil {
 			fs.jpromise = 0
 			return fmt.Errorf("lfs: writing summary-tailed group commit: %w", err)
 		}
@@ -448,13 +449,13 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 		// mid-sync write-back flushed the buffer, or the chain tail is
 		// in an earlier segment): flush what is pending, then link
 		// with an explicit jump.
-		if err := fs.flushSegment(seg); err != nil {
+		if err := fs.flushSegment(task, seg); err != nil {
 			return err
 		}
 		fs.stats.JournalReanchors++
 		recPos := seg.start + uint64(seg.next)
 		jump := fs.foldJump(recPos)
-		if err := fs.dev.WriteBlocksTraced(fs.curTask, fs.jpromise, [][]byte{jump}); err != nil {
+		if err := fs.dev.WriteBlocksTraced(task, fs.jpromise, [][]byte{jump}); err != nil {
 			fs.jpromise = 0
 			return fmt.Errorf("lfs: writing summary jump: %w", err)
 		}
@@ -465,7 +466,7 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 		fs.jpromise = recPos
 		seg.next++
 		blocks := fs.foldRecord(payload)
-		if err := fs.dev.WriteBlocksTraced(fs.curTask, recPos, blocks); err != nil {
+		if err := fs.dev.WriteBlocksTraced(task, recPos, blocks); err != nil {
 			fs.jpromise = 0
 			return fmt.Errorf("lfs: writing summary record: %w", err)
 		}
@@ -490,8 +491,8 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 // appending one delta record — no checkpoint rewrite. Like
 // syncMetaLocked it must be called at rest (not mid-flush). Returns
 // errJournalFull when the delta needs a checkpoint instead.
-func (fs *FS) syncJournalLocked() error {
-	if err := fs.writeFreshInodesLocked(); err != nil {
+func (fs *FS) syncJournalLocked(task *trace.Task) error {
+	if err := fs.writeFreshInodesLocked(task); err != nil {
 		return err
 	}
 	// Everything the record is about to ack must be on the medium no
@@ -502,24 +503,21 @@ func (fs *FS) syncJournalLocked() error {
 	// Otherwise the affinity-0 buffer stays pending here and flushes
 	// inside the record's own command, in front of it, riding its
 	// servo settle.
-	if fs.p.Concurrency > 1 && fs.dirtyAffinitiesLocked() >= 2 {
-		if err := fs.flushActiveLocked(); err != nil {
-			return err
-		}
-	} else if err := fs.flushOtherAffinitiesLocked(); err != nil {
+	fanned := fs.p.Concurrency > 1 && fs.dirtyAffinitiesLocked() >= 2
+	if err := fs.flushAffinitiesLocked(task, !fanned); err != nil {
 		return err
 	}
 	if !fs.journalDirtyLocked() && fs.sm.freeingSegments() == 0 {
 		// Nothing to ack, nothing gated: no record needed. (No deltas
 		// also means nothing was appended, so no affinity-0 buffer can
 		// be pending — but flush defensively.)
-		return fs.flushSegment(fs.active[0])
+		return fs.flushSegment(task, fs.active[0])
 	}
 	payload, err := fs.encodeDeltaLocked()
 	if err != nil {
 		return err
 	}
-	if err := fs.appendRecordLocked(payload); err != nil {
+	if err := fs.appendRecordLocked(task, payload); err != nil {
 		return err
 	}
 	fs.clearDeltasLocked()

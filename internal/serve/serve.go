@@ -414,28 +414,26 @@ func Run(cfg Config, tr *trace.Tracer) (Result, error) {
 	// device); Devices == 1 builds a width-1 array, byte-identical to
 	// the baseline by the fourth contract — the serve tests hold the
 	// two trajectories equal.
-	var dev device.Dev
-	var arr *array.Array
+	blocks, su := cfg.DeviceBlocks, cfg.SegmentBlocks
 	if cfg.Devices >= 1 {
 		// Keep DeviceBlocks of *global* capacity: each data member
 		// carries its share, rounded up to whole stripe units.
 		d := cfg.Devices - cfg.ParityDevices
-		su := cfg.SegmentBlocks
-		memberBlocks := (cfg.DeviceBlocks + d*su - 1) / (d * su) * su
-		dp := device.DefaultParams(memberBlocks)
-		mp := medium.DefaultParams(memberBlocks, device.DotsPerBlock)
-		mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
-		dp.Medium = mp
+		blocks = (cfg.DeviceBlocks + d*su - 1) / (d * su) * su
+	}
+	dp := device.DefaultParams(blocks)
+	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
+	mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
+	dp.Medium = mp
+	var dev device.Dev
+	var arr *array.Array
+	if cfg.Devices >= 1 {
 		arr, err = array.Build(cfg.Devices, dp, array.Params{StripeBlocks: su, Parity: cfg.ParityDevices})
 		if err != nil {
 			return Result{}, fmt.Errorf("serve: building array: %w", err)
 		}
 		dev = arr
 	} else {
-		dp := device.DefaultParams(cfg.DeviceBlocks)
-		mp := medium.DefaultParams(cfg.DeviceBlocks, device.DotsPerBlock)
-		mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
-		dp.Medium = mp
 		dev = device.New(dp)
 	}
 	if tr != nil {
